@@ -8,6 +8,8 @@ bounded weight), optionally conjugated member-by-member through a Clifford
 frame.  Cardinalities are exact big integers and every statistical query
 (mean commutation sign, fidelities, distances, unitarity) has a closed form
 in those cardinalities, so channels stay tractable at hundreds of qubits.
+The same closed forms are evaluated on packed batches (``fidelity_batch``),
+which is how the circuit engine reads every layer's Pauli fidelities.
 
 Members are unsigned (Hermitian, sign +1) Paulis: conjugation `E rho E†`
 is insensitive to the sign of E.
@@ -23,7 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .paulis import PauliOp, commutes, format_pauli, identity, parse_pauli, random_bits, random_pauli, weight
-from .tableau import CliffordOp, GateSpec, conjugate, from_gates, inverse
+from .paulis import _get_bit, _mask_words, _num_words, _packed, _popcount_rows
+from .tableau import CliffordOp, GateSpec, _apply_gate_bits, conjugate, from_gates, inverse
 
 _PROB_TOL = 1e-12
 _ENUM_CAP = 1 << 16  # largest ensemble we will materialize when merging overlaps
@@ -36,7 +39,7 @@ def _check_register(register: tuple[int, ...]) -> tuple[int, ...]:
     return register
 
 
-def _place(n: int, register: tuple[int, ...], local: PauliOp) -> tuple[int, int]:
+def _place(register: tuple[int, ...], local: PauliOp) -> tuple[int, int]:
     """Scatter a local Pauli's bits onto global qubit positions."""
     x = z = 0
     for i, q in enumerate(register):
@@ -45,8 +48,14 @@ def _place(n: int, register: tuple[int, ...], local: PauliOp) -> tuple[int, int]
     return x, z
 
 
+def _register_weight(xb: np.ndarray, zb: np.ndarray, register: tuple[int, ...]) -> np.ndarray:
+    """Per packed row, the number of register qubits it acts on."""
+    return _popcount_rows((xb | zb) & _mask_words(register, xb.shape[1]))
+
+
 # ---------------------------------------------------------------------------
-# primitive factors
+# primitive factors: ``mean_chi_local`` is the exact mean commutation sign on
+# the register, ``chi_batch`` the same closed form on packed rows, in floats.
 # ---------------------------------------------------------------------------
 
 
@@ -74,6 +83,12 @@ class PointFactor:
 
     def mean_chi_local(self, q: PauliOp) -> Fraction:
         return Fraction(1) if commutes(self.pauli, q) else Fraction(-1)
+
+    def chi_batch(self, xb: np.ndarray, zb: np.ndarray) -> np.ndarray:
+        x, z = _place(self.register, self.pauli)
+        words = xb.shape[1]
+        odd = _popcount_rows((xb & _packed(z, words)) ^ (zb & _packed(x, words))) & 1
+        return 1.0 - 2.0 * odd
 
     def contains_local(self, q: PauliOp) -> bool:
         return q == self.pauli
@@ -107,6 +122,9 @@ class FullGroupFactor:
 
     def mean_chi_local(self, q: PauliOp) -> Fraction:
         return Fraction(1) if q.is_identity else Fraction(0)
+
+    def chi_batch(self, xb: np.ndarray, zb: np.ndarray) -> np.ndarray:
+        return np.where(_register_weight(xb, zb, self.register) == 0, 1.0, 0.0)
 
     def contains_local(self, q: PauliOp) -> bool:
         return True
@@ -147,6 +165,9 @@ class FullGroupMinusIdentityFactor:
         # the full group averages to zero; removing the identity leaves -1
         return Fraction(-1, self.cardinality)
 
+    def chi_batch(self, xb: np.ndarray, zb: np.ndarray) -> np.ndarray:
+        return np.where(_register_weight(xb, zb, self.register) == 0, 1.0, -1 / self.cardinality)
+
     def contains_local(self, q: PauliOp) -> bool:
         return not q.is_identity
 
@@ -184,6 +205,9 @@ class DiagonalIZFactor:
     def mean_chi_local(self, q: PauliOp) -> Fraction:
         # each qubit where q has an X or Y letter averages (+1 - 1)/2 = 0
         return Fraction(1) if q.x == 0 else Fraction(0)
+
+    def chi_batch(self, xb: np.ndarray, zb: np.ndarray) -> np.ndarray:
+        return np.where((xb & _mask_words(self.register, xb.shape[1])).any(axis=1), 0.0, 1.0)
 
     def contains_local(self, q: PauliOp) -> bool:
         return q.x == 0
@@ -227,6 +251,10 @@ class XYSetFactor:
         if letter == "Z":
             return Fraction(-1)
         return Fraction(0)  # X or Y: one partner commutes, the other does not
+
+    def chi_batch(self, xb: np.ndarray, zb: np.ndarray) -> np.ndarray:
+        q = self.register[0]
+        return (1.0 - _get_bit(xb, q)) * (1.0 - 2.0 * _get_bit(zb, q))
 
     def contains_local(self, q: PauliOp) -> bool:
         return q.letter_at(0) in ("X", "Y")
@@ -277,6 +305,14 @@ class WeightAtMostFactor:
             for a in range(min(j, t) + 1):
                 total += (-1) ** a * math.comb(t, a) * math.comb(m - t, j - a) * 3 ** (j - a)
         return Fraction(total, self.cardinality)
+
+    @cached_property
+    def _chi_by_weight(self) -> np.ndarray:
+        probes = [PauliOp(len(self.register), (1 << t) - 1, 0) for t in range(len(self.register) + 1)]
+        return np.array([float(self.mean_chi_local(q)) for q in probes])
+
+    def chi_batch(self, xb: np.ndarray, zb: np.ndarray) -> np.ndarray:
+        return self._chi_by_weight[_register_weight(xb, zb, self.register)]
 
     def contains_local(self, q: PauliOp) -> bool:
         return weight(q) <= self.max_weight
@@ -424,6 +460,17 @@ class PauliEnsemble:
                 return out
         return out
 
+    def chi_batch(self, xb: np.ndarray, zb: np.ndarray) -> np.ndarray:
+        """mean_chi_exact of every packed row, in floating point."""
+        if self.frame_gates:
+            xb, zb = xb.copy(), zb.copy()
+            for g in reversed(self.frame_gates):  # the inverse frame, sign-free
+                _apply_gate_bits(xb, zb, g)
+        out = np.ones(xb.shape[0])
+        for f in self.factors:
+            out *= f.chi_batch(xb, zb)
+        return out
+
     def contains(self, p: PauliOp) -> bool:
         if p.phase != 0:
             return False
@@ -433,7 +480,7 @@ class PauliEnsemble:
     def sample(self, rng: np.random.Generator) -> PauliOp:
         x = z = 0
         for f in self.factors:
-            dx, dz = _place(self.n, f.register, f.sample_local(rng))
+            dx, dz = _place(f.register, f.sample_local(rng))
             x |= dx
             z |= dz
         member = PauliOp(self.n, x, z)
@@ -449,7 +496,7 @@ class PauliEnsemble:
         for choice in iproduct(*locals_per_factor):
             x = z = 0
             for f, local in zip(self.factors, choice):
-                dx, dz = _place(self.n, f.register, local)
+                dx, dz = _place(f.register, local)
                 x |= dx
                 z |= dz
             member = PauliOp(self.n, x, z)
@@ -568,9 +615,32 @@ def pauli_fidelity(ch: PauliChannel, p: PauliOp) -> float:
     return ch.identity_prob + acc
 
 
+def fidelity_batch(ch: PauliChannel, xb: np.ndarray, zb: np.ndarray) -> np.ndarray:
+    """pauli_fidelity of every row of a packed (batch, words) X/Z batch.
+
+    Evaluated as 1 − Σ p·(1 − χ) over the atoms, atoms that share an
+    ensemble merged first.  Point atoms then contribute exactly 0 or 2·p, so
+    bare Pauli noise comes out as 1 − 2·(sum of anticommuting rates).
+    """
+    if xb.shape != zb.shape or xb.ndim != 2 or xb.shape[1] != _num_words(ch.n):
+        raise ValueError("packed rows do not match the channel's qubit count")
+    loss = np.zeros(xb.shape[0])
+    for prob, ensemble in _merged_atoms(ch):
+        loss += prob * (1.0 - ensemble.chi_batch(xb, zb))
+    return 1.0 - loss
+
+
 # ---------------------------------------------------------------------------
 # disjointness handling for distance/unitarity closed forms
 # ---------------------------------------------------------------------------
+
+
+def _merged_atoms(ch: PauliChannel) -> list[tuple[float, PauliEnsemble]]:
+    """The channel's atoms with the probabilities of equal ensembles added."""
+    combined: dict[PauliEnsemble, float] = {}
+    for prob, ensemble in ch.atoms:
+        combined[ensemble] = combined.get(ensemble, 0.0) + prob
+    return [(prob, ensemble) for ensemble, prob in combined.items()]
 
 
 def _registers_aligned(a: PauliEnsemble, b: PauliEnsemble) -> bool:
@@ -611,10 +681,7 @@ def _disjoint_pieces(ch: PauliChannel) -> list[tuple[int, float]]:
     clusters are expanded member-by-member and re-aggregated, which requires
     them to be enumerable.
     """
-    combined: dict[PauliEnsemble, float] = {}
-    for prob, ensemble in ch.atoms:
-        combined[ensemble] = combined.get(ensemble, 0.0) + prob
-    atoms = [(prob, ensemble) for ensemble, prob in combined.items()]
+    atoms = _merged_atoms(ch)
     k = len(atoms)
     parent = list(range(k))
 

@@ -6,7 +6,11 @@ Clifford frame ``V`` maps the axis ``Q`` onto ``Z`` on qubit 0, and its noise
 is a single-qubit Pauli channel attached at frame qubit 0.  The engine
 back-propagates observables through the circuit in the Heisenberg picture on
 packed bit arrays, multiplying per-layer Pauli fidelities, which keeps the
-cost polynomial in the qubit count for Clifford-angle circuits.
+cost polynomial in the qubit count for Clifford-angle circuits.  Every
+fidelity is evaluated in batch by ``channels.fidelity_batch`` on the layer's
+channel: directly for a noise layer, and for a rotation layer once per
+(qubit count, rates, mode, k) into a table indexed by the frame-qubit letter
+and the weight on the other qubits.
 
 Twirl modes per rotation layer:
 
@@ -29,17 +33,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .channels import (
-    FullGroupMinusIdentityFactor,
-    PauliChannel,
-    WeightAtMostFactor,
-    avg_noise_strength,
-    make_single_qubit_pauli_noise,
-    pauli_fidelity,
-    unitarity,
-)
-from .paulis import PauliOp, identity, random_pauli, weight
-from .tableau import CliffordOp, GateSpec, clifford_mapping_z0_to, conjugate, inverse
+from .channels import PauliChannel, avg_noise_strength, fidelity_batch, make_single_qubit_pauli_noise, unitarity
+from .paulis import PauliOp, _bits_from_paulis, _get_bit, _mask_words, _pauli_from_bits, _popcount_rows, random_pauli
+from .tableau import CliffordOp, GateSpec, _apply_gate_bits, clifford_mapping_z0_to, conjugate, inverse
 from .twirl import SymmetrySpec, sample_full_twirl_gate, sample_ksparse_twirl_gate, twirl_channel, twirl_channel_ksparse
 
 __all__ = [
@@ -171,27 +167,6 @@ class RotationLayer:
         if abs(t - math.pi / 4) < _ANGLE_TOL:
             return "quarter"
         return "generic"
-
-    @cached_property
-    def _letter_fidelity(self) -> np.ndarray:
-        """Pauli fidelity of the bare noise, indexed by x0 + 2·z0."""
-        px, py, pz = self.rates
-        return np.array(
-            [1.0, 1.0 - 2 * (py + pz), 1.0 - 2 * (px + py), 1.0 - 2 * (px + pz)]
-        )
-
-    @cached_property
-    def _ksparse_table(self) -> np.ndarray:
-        """Mean commutation sign of the sparse coset vs. rest-weight."""
-        m = self.n - 1
-        if m == 0:
-            return np.ones(1)
-        factor = WeightAtMostFactor(tuple(range(m)), min(self.k - 1, m))
-        table = np.empty(m + 1)
-        for t in range(m + 1):
-            probe = PauliOp(m, (1 << t) - 1, 0)
-            table[t] = float(factor.mean_chi_local(probe))
-        return table
 
 
 @dataclass(frozen=True)
@@ -429,138 +404,14 @@ def build_trotter_circuit(
 
 
 # ---------------------------------------------------------------------------
-# packed observable batches
-# ---------------------------------------------------------------------------
-
-_WORD_BITS = 64
-
-
-def _num_words(n: int) -> int:
-    return (n + _WORD_BITS - 1) // _WORD_BITS
-
-
-def _bits_from_paulis(paulis: list[PauliOp], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pack unsigned X/Z bit masks into (batch, words) uint64 arrays."""
-    words = _num_words(n)
-    xb = np.zeros((len(paulis), words), dtype=np.uint64)
-    zb = np.zeros((len(paulis), words), dtype=np.uint64)
-    mask = (1 << _WORD_BITS) - 1
-    for i, p in enumerate(paulis):
-        for w in range(words):
-            xb[i, w] = (p.x >> (w * _WORD_BITS)) & mask
-            zb[i, w] = (p.z >> (w * _WORD_BITS)) & mask
-    return xb, zb
-
-
-def _pauli_from_bits(xb: np.ndarray, zb: np.ndarray, i: int, n: int) -> PauliOp:
-    x = z = 0
-    for w in range(xb.shape[1]):
-        x |= int(xb[i, w]) << (w * _WORD_BITS)
-        z |= int(zb[i, w]) << (w * _WORD_BITS)
-    return PauliOp(n, x, z)
-
-
-def _get_bit(arr: np.ndarray, q: int) -> np.ndarray:
-    return (arr[:, q // _WORD_BITS] >> np.uint64(q % _WORD_BITS)) & np.uint64(1)
-
-
-def _xor_bit(arr: np.ndarray, q: int, bits: np.ndarray) -> None:
-    arr[:, q // _WORD_BITS] ^= bits << np.uint64(q % _WORD_BITS)
-
-
-def _apply_gate_bits(xb: np.ndarray, zb: np.ndarray, g: GateSpec) -> None:
-    """Unsigned conjugation of a whole batch by one Clifford gate.
-
-    Every rule below is an involution on the sign-stripped bits (S and S†
-    act identically there), so propagating through an inverted gate list is
-    just replaying the reversed list.
-    """
-    kind = g.kind
-    if kind in ("X", "Y", "Z"):
-        return
-    if kind == "H":
-        q = g.qubits[0]
-        w, m = q // _WORD_BITS, np.uint64(1 << (q % _WORD_BITS))
-        diff = (xb[:, w] ^ zb[:, w]) & m
-        xb[:, w] ^= diff
-        zb[:, w] ^= diff
-        return
-    if kind == "S":
-        q = g.qubits[0]
-        w, m = q // _WORD_BITS, np.uint64(1 << (q % _WORD_BITS))
-        zb[:, w] ^= xb[:, w] & m
-        return
-    if kind == "CNOT":
-        c, t = g.qubits
-        _xor_bit(xb, t, _get_bit(xb, c))
-        _xor_bit(zb, c, _get_bit(zb, t))
-        return
-    if kind == "CZ":
-        a, b = g.qubits
-        xa, xc = _get_bit(xb, a), _get_bit(xb, b)
-        _xor_bit(zb, b, xa)
-        _xor_bit(zb, a, xc)
-        return
-    if kind == "SWAP":
-        a, b = g.qubits
-        for arr in (xb, zb):
-            ba, bb = _get_bit(arr, a), _get_bit(arr, b)
-            diff = ba ^ bb
-            _xor_bit(arr, a, diff)
-            _xor_bit(arr, b, diff)
-        return
-    if kind == "MULTICNOT":
-        c = g.qubits[0]
-        xc = _get_bit(xb, c)
-        zc_acc = np.zeros_like(xc)
-        for t in g.qubits[1:]:
-            _xor_bit(xb, t, xc)
-            zc_acc ^= _get_bit(zb, t)
-        _xor_bit(zb, c, zc_acc)
-        return
-    raise ValueError(f"unsupported gate kind {kind!r}")
-
-
-def _support_masks(n: int, support: tuple[int, ...]) -> np.ndarray:
-    masks = np.zeros(_num_words(n), dtype=np.uint64)
-    for q in support:
-        masks[q // _WORD_BITS] |= np.uint64(1 << (q % _WORD_BITS))
-    return masks
-
-
-def _count_on_support(xb: np.ndarray, zb: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Number of support qubits where the observable is non-identity."""
-    total = np.zeros(xb.shape[0], dtype=np.int64)
-    for w in range(masks.shape[0]):
-        if masks[w]:
-            total += np.bitwise_count((xb[:, w] | zb[:, w]) & masks[w]).astype(np.int64)
-    return total
-
-
-# ---------------------------------------------------------------------------
 # the Heisenberg back-propagation walk
 # ---------------------------------------------------------------------------
 
 
-def _uniform_nonidentity_fidelity(ch: PauliChannel) -> float | None:
-    """Pauli fidelity if it is the same for every nonidentity Pauli.
-
-    Detects the global-white-noise shape: a single atom whose ensemble is
-    the uniform distribution over all nonidentity Paulis.
-    """
-    if not ch.atoms:
-        return 1.0
-    if len(ch.atoms) != 1:
-        return None
-    prob, ensemble = ch.atoms[0]
-    if ensemble.frame_gates or len(ensemble.factors) != 1:
-        return None
-    factor = ensemble.factors[0]
-    if not isinstance(factor, FullGroupMinusIdentityFactor):
-        return None
-    if len(factor.register) != ch.n:
-        return None
-    return 1.0 - prob * 4**ch.n / (4**ch.n - 1)
+def _gadget_depolarize(p_d: float, support, xb: np.ndarray, zb: np.ndarray, lam: np.ndarray) -> None:
+    """Local depolarizing noise at rate p_d on each qubit of a gadget's support."""
+    if p_d > 0 and support:
+        lam *= (1 - 4 * p_d / 3) ** _popcount_rows((xb | zb) & _mask_words(support, xb.shape[1]))
 
 
 def _rotation_step(
@@ -576,42 +427,23 @@ def _rotation_step(
 
     mode = layer.twirl_mode
     gadget = None
-    if mode in _SAMPLED_MODES:
-        if rng is None:
-            raise ValueError("sampled twirl modes need an rng")
+    if mode in _SAMPLED_MODES:  # effective_fidelity_batch has checked the rng
         if mode == "full":
             gadget = sample_full_twirl_gate(layer.n, rng)
         else:
             gadget = sample_ksparse_twirl_gate(layer.n, layer.k, rng)
-        p_d = layer.gadget_noise_rate
-        masks = _support_masks(layer.n, gadget.support) if (p_d > 0 and gadget.support) else None
-        if masks is not None:
-            lam *= (1 - 4 * p_d / 3) ** _count_on_support(xb, zb, masks)
+        _gadget_depolarize(layer.gadget_noise_rate, gadget.support, xb, zb, lam)
         for g in reversed(gadget.gates):
             _apply_gate_bits(xb, zb, g)
 
     x0 = _get_bit(xb, 0)
     z0 = _get_bit(zb, 0)
-    if mode in ("none", "full", "ksparse"):
-        lam *= layer._letter_fidelity[(x0 + 2 * z0).astype(np.intp)]
+    table = _fidelity_table(layer.n, layer.rates, mode, layer.k)
+    letter = (x0 + 2 * z0).astype(np.intp)
+    if table.ndim == 1:
+        lam *= table[letter]
     else:
-        px, py, pz = layer.rates
-        p = px + py + pz
-        xf = x0.astype(np.float64)
-        zf = z0.astype(np.float64)
-        xy_sign = (1.0 - xf) * (1.0 - 2.0 * zf)
-        rest_x = xb.copy()
-        rest_z = zb.copy()
-        rest_x[:, 0] &= ~np.uint64(1)
-        rest_z[:, 0] &= ~np.uint64(1)
-        if mode == "analytic_full":
-            rest_any = (rest_x | rest_z).any(axis=1)
-            lam *= (1 - p) + pz * (1 - 2 * xf) + (px + py) * xy_sign * (~rest_any)
-        else:
-            rest_w = np.zeros(xb.shape[0], dtype=np.int64)
-            for w in range(xb.shape[1]):
-                rest_w += np.bitwise_count(rest_x[:, w] | rest_z[:, w]).astype(np.int64)
-            lam *= (1 - p) + pz * (1 - 2 * xf) + (px + py) * xy_sign * layer._ksparse_table[rest_w]
+        lam *= table[letter, _popcount_rows(xb | zb) - (x0 | z0).astype(np.int64)]
 
     kind = layer.rotation_kind
     if kind == "quarter":
@@ -623,10 +455,7 @@ def _rotation_step(
         )
 
     if gadget is not None:
-        p_d = layer.gadget_noise_rate
-        if p_d > 0 and gadget.support:
-            masks = _support_masks(layer.n, gadget.support)
-            lam *= (1 - 4 * p_d / 3) ** _count_on_support(xb, zb, masks)
+        _gadget_depolarize(layer.gadget_noise_rate, gadget.support, xb, zb, lam)
         for g in gadget.gates:
             _apply_gate_bits(xb, zb, g)
 
@@ -650,20 +479,13 @@ def _walk(
                 for g in reversed(layer.gates):
                     _apply_gate_bits(xb, zb, g)
             else:
-                inv = layer.inv_op
-                for i in range(xb.shape[0]):
-                    p = _pauli_from_bits(xb, zb, i, c.n)
-                    q = conjugate(inv, p).unsigned()
-                    for w in range(xb.shape[1]):
-                        xb[i, w] = (q.x >> (w * _WORD_BITS)) & ((1 << _WORD_BITS) - 1)
-                        zb[i, w] = (q.z >> (w * _WORD_BITS)) & ((1 << _WORD_BITS) - 1)
+                images = [
+                    conjugate(layer.inv_op, _pauli_from_bits(xb, zb, i, c.n)).unsigned()
+                    for i in range(xb.shape[0])
+                ]
+                xb[:], zb[:] = _bits_from_paulis(images, c.n)
         else:
-            flat = _uniform_nonidentity_fidelity(layer.channel)
-            if flat is not None:
-                lam *= flat
-            else:
-                for i in range(xb.shape[0]):
-                    lam[i] *= pauli_fidelity(layer.channel, _pauli_from_bits(xb, zb, i, c.n))
+            lam *= fidelity_batch(layer.channel, xb, zb)
     return lam
 
 
@@ -737,6 +559,24 @@ def _frame_channel(n: int, rates: tuple[float, float, float], mode: str, k: int 
     if mode in ("full", "analytic_full"):
         return twirl_channel(base, SymmetrySpec.rz_first_qubit(n))
     return twirl_channel_ksparse(base, k)
+
+
+@lru_cache(maxsize=None)
+def _fidelity_table(n: int, rates: tuple[float, float, float], mode: str, k: int | None) -> np.ndarray:
+    """A rotation layer's fidelity in its frame, by letter x0 + 2·z0 and weight on qubits 1..n−1.
+
+    Tables whose weight columns agree (bare noise) are cut to the letter
+    column.  Sampled modes draw their gadgets in the walk: bare noise too.
+    """
+    if mode in _SAMPLED_MODES:
+        mode, k = "none", None
+    rest = [((1 << t) - 1) << 1 for t in range(n)]  # X on qubits 1..t
+    probes = [PauliOp(n, (letter & 1) | r, letter >> 1) for letter in range(4) for r in rest]
+    table = fidelity_batch(_frame_channel(n, rates, mode, k), *_bits_from_paulis(probes, n)).reshape(4, n)
+    if (table == table[:, :1]).all():
+        table = table[:, 0].copy()
+    table.flags.writeable = False
+    return table
 
 
 def layer_noise_channel(layer: RotationLayer) -> PauliChannel:

@@ -242,11 +242,8 @@ def _bias_grid_scan(config: dict, sha: str, seed: int, threads: int, grid: list)
         start = time.perf_counter()
         model = _build_model(config["model"], size)
         mode, k = mode_cfg["mode"], mode_cfg.get("k")
-        probe = build_trotter_circuit(model, steps, dt, clifford_sim)
-        _check_mode_k(mode, k, probe.n)
-        rates = _resolve_rates(
-            config.get("noise"), config.get("p_tot"), probe.num_rotation_layers
-        )
+        _check_mode_k(mode, k, model.n_qubits)
+        rates = _resolve_rates(config.get("noise"), config.get("p_tot"), steps * len(model.terms()))
         p_err = sum(rates)
         if ratio is None:
             sweep_gadget = config.get("gadget_noise_rate", 0.0)

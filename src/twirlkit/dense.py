@@ -339,7 +339,7 @@ def _apply_ensemble_average(mat: np.ndarray, ensemble: PauliEnsemble) -> np.ndar
     out = mat
     for factor in ensemble.factors:
         if isinstance(factor, PointFactor):
-            x, z = _place(n, factor.register, factor.pauli)
+            x, z = _place(factor.register, factor.pauli)
             out = _conj_by_pauli(out, x, z, n)
         elif isinstance(factor, FullGroupFactor):
             out = _fully_depolarize_register(out, n, factor.register)
@@ -360,7 +360,7 @@ def _apply_ensemble_average(mat: np.ndarray, ensemble: PauliEnsemble) -> np.ndar
                 raise ValueError("weight-capped factor too large for a dense member sum")
             acc = np.zeros_like(out)
             for member in factor.members_local():
-                x, z = _place(n, factor.register, member)
+                x, z = _place(factor.register, member)
                 acc += _conj_by_pauli(out, x, z, n)
             out = acc / factor.cardinality
         else:
@@ -571,8 +571,9 @@ def rescaled_distance_scan(
     for n in n_list:
         model = model_builder(n)
         for t in t_list:
-            probe = build_trotter_circuit(model, t, theta)
-            num_layers = probe.num_rotation_layers
+            if t < 1:
+                raise ValueError("need at least one Trotter step")
+            num_layers = t * len(model.terms())
             p_err = p_tot / num_layers
             rates = tuple(p_err * w / wsum for w in noise_weights)
             c = build_trotter_circuit(

@@ -9,7 +9,8 @@ global phase exponent ``k`` with sign = i**k:
 The letter bits describe the Pauli string itself (so (1,1) means the Hermitian
 letter Y, not the product XZ); the phase exponent carries everything else.
 Python integers have no width limit, so the qubit count is a plain runtime
-parameter with no fixed cap.
+parameter with no fixed cap.  For vectorized work, batches of unsigned Paulis
+are also packed into rows of 64-bit words (private helpers at the bottom).
 
 Internally the product formula converts through the symplectic normal form
 P = i**(x.z) X^x Z^z, which gives the phase of a product as
@@ -194,3 +195,57 @@ def format_pauli(p: PauliOp) -> str:
     """Text form with qubit 0 leftmost and a sign prefix for non-+1 signs."""
     letters = "".join(p.letter_at(q) for q in range(p.n))
     return _SIGN_CHARS[p.phase] + letters
+
+
+# ---------------------------------------------------------------------------
+# packed batches: unsigned Paulis as rows of (batch, words) uint64 arrays
+# ---------------------------------------------------------------------------
+
+_WORD_BITS = 64
+_WORD_MASK = (1 << _WORD_BITS) - 1
+
+
+def _num_words(n: int) -> int:
+    return (n + _WORD_BITS - 1) // _WORD_BITS
+
+
+def _int_words(value: int, words: int) -> list[int]:
+    """Little-endian 64-bit words of a nonnegative bit vector."""
+    return [(value >> (w * _WORD_BITS)) & _WORD_MASK for w in range(words)]
+
+
+def _packed(value: int, words: int) -> np.ndarray:
+    """One packed word row holding a bit vector."""
+    return np.array(_int_words(value, words), dtype=np.uint64)
+
+
+def _mask_words(qubits, words: int) -> np.ndarray:
+    """One packed word row with the bits of ``qubits`` set."""
+    return _packed(sum(1 << q for q in qubits), words)
+
+
+def _bits_from_paulis(paulis: list[PauliOp], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pack unsigned X/Z bit masks into (batch, words) uint64 arrays."""
+    words = _num_words(n)
+    shape = (len(paulis), words)
+    xb = np.array([_int_words(p.x, words) for p in paulis], dtype=np.uint64).reshape(shape)
+    zb = np.array([_int_words(p.z, words) for p in paulis], dtype=np.uint64).reshape(shape)
+    return xb, zb
+
+
+def _pauli_from_bits(xb: np.ndarray, zb: np.ndarray, i: int, n: int) -> PauliOp:
+    x, z = (sum(int(v) << (w * _WORD_BITS) for w, v in enumerate(arr[i])) for arr in (xb, zb))
+    return PauliOp(n, x, z)
+
+
+def _get_bit(arr: np.ndarray, q: int) -> np.ndarray:
+    return (arr[:, q // _WORD_BITS] >> np.uint64(q % _WORD_BITS)) & np.uint64(1)
+
+
+def _xor_bit(arr: np.ndarray, q: int, bits: np.ndarray) -> None:
+    arr[:, q // _WORD_BITS] ^= bits << np.uint64(q % _WORD_BITS)
+
+
+def _popcount_rows(arr: np.ndarray) -> np.ndarray:
+    """Number of set bits in each row; mask first to count on a register."""
+    return np.bitwise_count(arr).sum(axis=1, dtype=np.int64)

@@ -11,7 +11,8 @@ Conjugation of an arbitrary Pauli decomposes it through the generator images::
 so C P C† is the ordered product of the stored images with the same prefactor.
 
 Elementary gates act on a Pauli through closed-form bit/phase update rules
-(verified exhaustively against a dense-matrix reference in the test suite).
+(verified exhaustively against a dense-matrix reference in the test suite),
+and on packed batches of unsigned Paulis through their sign-free bit rules.
 Uniform random sampling uses the exact canonical-form construction over the
 binary symplectic group (transvection-based, rejection-free), plus uniform
 sign bits — every tableau is produced with equal probability.
@@ -24,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .paulis import PauliOp, commutes, identity, pauli_mul, random_bits, single
+from .paulis import _WORD_BITS, PauliOp, _get_bit, _xor_bit, commutes, identity, pauli_mul, random_bits, single
 
 _ONE_QUBIT_KINDS = ("H", "S", "X", "Y", "Z")
 _TWO_QUBIT_KINDS = ("CNOT", "CZ", "SWAP")
@@ -255,16 +256,57 @@ def apply_gates(p: PauliOp, gates: list[GateSpec] | tuple[GateSpec, ...]) -> Pau
     return p
 
 
+def _apply_gate_bits(xb: np.ndarray, zb: np.ndarray, g: GateSpec) -> None:
+    """Unsigned conjugation of a packed batch by one Clifford gate, in place.
+
+    Every rule below is an involution on the sign-stripped bits (S and S†
+    act identically there), so propagating through an inverted gate list is
+    just replaying the reversed list.
+    """
+    kind = g.kind
+    if kind in ("X", "Y", "Z"):
+        return
+    if kind == "H":
+        q = g.qubits[0]
+        w, m = q // _WORD_BITS, np.uint64(1 << (q % _WORD_BITS))
+        diff = (xb[:, w] ^ zb[:, w]) & m
+        xb[:, w] ^= diff
+        zb[:, w] ^= diff
+        return
+    if kind == "S":
+        q = g.qubits[0]
+        w, m = q // _WORD_BITS, np.uint64(1 << (q % _WORD_BITS))
+        zb[:, w] ^= xb[:, w] & m
+        return
+    if kind in ("CNOT", "MULTICNOT"):  # a fan of CNOTs sharing one control
+        c, *targets = g.qubits
+        xc = _get_bit(xb, c)
+        for t in targets:
+            _xor_bit(xb, t, xc)
+            _xor_bit(zb, c, _get_bit(zb, t))
+        return
+    if kind == "CZ":
+        a, b = g.qubits
+        xa, xc = _get_bit(xb, a), _get_bit(xb, b)
+        _xor_bit(zb, b, xa)
+        _xor_bit(zb, a, xc)
+        return
+    if kind == "SWAP":
+        a, b = g.qubits
+        for arr in (xb, zb):
+            ba, bb = _get_bit(arr, a), _get_bit(arr, b)
+            diff = ba ^ bb
+            _xor_bit(arr, a, diff)
+            _xor_bit(arr, b, diff)
+        return
+    raise ValueError(f"unsupported gate kind {kind!r}")
+
+
 def invert_gates(gates: list[GateSpec] | tuple[GateSpec, ...]) -> list[GateSpec]:
     """Gate sequence of the inverse operator (S† expands to three S gates)."""
     out: list[GateSpec] = []
     for g in reversed(gates):
-        if g.kind == "S":
-            out.extend([g, g, g])
-        elif g.kind == "MULTICNOT":
-            out.append(g)
-        else:
-            out.append(g)
+        out.extend([g] * (3 if g.kind == "S" else 1))
     return out
 
 

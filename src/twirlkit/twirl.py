@@ -107,10 +107,6 @@ class SymmetrySpec:
         return SymmetrySpec(0, 1, n - 1, identity_clifford(n), (), "RzFirstQubit")
 
     @staticmethod
-    def t_gate(n: int) -> "SymmetrySpec":
-        return SymmetrySpec(0, 1, n - 1, identity_clifford(n), (), "TGate")
-
-    @staticmethod
     def toffoli(n: int) -> "SymmetrySpec":
         if n < 3:
             raise ValueError("a Toffoli needs at least three qubits")

@@ -20,6 +20,7 @@ from twirlkit.channels import (
     distance_v,
     ensemble_mean_chi,
     expand,
+    fidelity_batch,
     make_single_qubit_pauli_noise,
     make_white_noise,
     pauli_fidelity,
@@ -27,8 +28,9 @@ from twirlkit.channels import (
     sample_error,
     unitarity,
 )
-from twirlkit.paulis import PauliOp, commutes, identity, parse_pauli, random_pauli, single
+from twirlkit.paulis import PauliOp, _bits_from_paulis, commutes, identity, parse_pauli, random_pauli, single
 from twirlkit.tableau import conjugate, decompose_gates, random_clifford
+from twirlkit.twirl import SymmetrySpec, twirl_channel, twirl_channel_ksparse
 
 
 def full_register(n):
@@ -233,6 +235,87 @@ def _random_channel(n, rng):
             )
         atoms.append((prob, e))
     return PauliChannel(n, tuple(atoms))
+
+
+# ---------------------------------------------------------------------------
+# packed-batch fidelities
+# ---------------------------------------------------------------------------
+
+
+def _point_noise(n, rng):
+    """Point atoms of every twirl branch: random strings, Z on qubit 0 alone
+    (left invariant) and with a partner on the last qubit (diagonal orbit)."""
+    atoms = [(0.01 * (i + 1), point_ensemble(random_pauli(n, exclude_identity=True, rng=rng))) for i in range(4)]
+    atoms.append((0.02, point_ensemble(single(n, 0, "Z"))))
+    z0 = single(n, 0, "Z")
+    atoms.append((0.015, point_ensemble(PauliOp(n, 1 << (n - 1), z0.z))))
+    return PauliChannel(n, tuple(atoms))
+
+
+def _batch_channels(n):
+    rng = np.random.default_rng(n)
+    rest = tuple(range(1, n))
+    axis = PauliOp(n, (1 << 1) | (1 << (n - 1)), (1 << 1) | (1 << (n - 2)))  # Y, Z, X
+    xy_rest = PauliEnsemble(n, (XYSetFactor((0,)), FullGroupFactor(rest)))
+    diagonal = PauliEnsemble(n, (DiagonalIZFactor((0, 1)), FullGroupMinusIdentityFactor(tuple(range(2, n)))))
+    point_and_capped = PauliEnsemble(n, (PointFactor((0, 1), parse_pauli("XY")), WeightAtMostFactor(tuple(range(2, n)), 2)))
+    return {
+        "point": make_single_qubit_pauli_noise(n, n - 1, 0.01, 0.02, 0.03),
+        "point_strings": _point_noise(n, rng),
+        "white": make_white_noise(n, 0.07),
+        "full_group": PauliChannel(n, ((0.04, xy_rest),)),
+        "diagonal": PauliChannel(n, ((0.03, diagonal),)),
+        "weight_at_most": twirl_channel_ksparse(make_single_qubit_pauli_noise(n, 0, 0.01, 0.02, 0.005), 3),
+        "point_and_capped": PauliChannel(n, ((0.02, point_and_capped),)),
+        "toffoli": twirl_channel(_point_noise(n, rng), SymmetrySpec.toffoli(n)),
+        "pauli_rotation": twirl_channel(_point_noise(n, rng), SymmetrySpec.pauli_rotation(axis)),
+    }
+
+
+def _batch_probes(n, rng):
+    """Random strings, the identity, and low-weight strings for weight tables,
+    half of them on the qubits that frames touch and around the word edge,
+    and every string on the support of the rotation axis in _batch_channels."""
+    axis_support = (1, n - 2, n - 1)
+    probes = [random_pauli(n, rng=rng) for _ in range(30)]
+    for letters in range(64):
+        x = sum((letters >> (2 * i) & 1) << q for i, q in enumerate(axis_support))
+        z = sum((letters >> (2 * i + 1) & 1) << q for i, q in enumerate(axis_support))
+        probes.append(PauliOp(n, x, z))
+    edges = sorted({0, 1, 2, 63, 64, n - 3, n - 2, n - 1} & set(range(n)))
+    for w in range(1, 5):
+        for i in range(12):
+            support = rng.choice(edges if i % 2 else n, size=w, replace=False)
+            letters = rng.integers(1, 4, size=w)
+            x = sum(int(b & 1) << int(q) for q, b in zip(support, letters))
+            z = sum(int(b >> 1) << int(q) for q, b in zip(support, letters))
+            probes.append(PauliOp(n, x, z))
+    return probes
+
+
+@pytest.mark.parametrize("n", [4, 70])
+@pytest.mark.parametrize("kind", list(_batch_channels(4)))
+def test_fidelity_batch_matches_pauli_fidelity(kind, n):
+    ch = _batch_channels(n)[kind]
+    probes = _batch_probes(n, np.random.default_rng(7 * n))
+    got = fidelity_batch(ch, *_bits_from_paulis(probes, n))
+    want = np.array([pauli_fidelity(ch, p) for p in probes])
+    assert np.abs(got - want).max() <= 1e-15
+
+
+def test_fidelity_batch_bare_noise_is_exact():
+    # point atoms contribute exactly 0 or 2·p: no rounding beyond the rates' sum
+    px, py, pz = 0.013, 0.027, 0.0041
+    ch = make_single_qubit_pauli_noise(1, 0, px, py, pz)
+    got = fidelity_batch(ch, *_bits_from_paulis([parse_pauli(s) for s in "IXZY"], 1))
+    assert list(got) == [1.0, 1.0 - 2 * (py + pz), 1.0 - 2 * (px + py), 1.0 - 2 * (px + pz)]
+
+
+def test_fidelity_batch_rejects_mismatched_rows():
+    ch = make_white_noise(70, 0.1)
+    xb, zb = _bits_from_paulis([identity(3)], 3)
+    with pytest.raises(ValueError):
+        fidelity_batch(ch, xb, zb)
 
 
 # ---------------------------------------------------------------------------

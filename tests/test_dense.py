@@ -24,6 +24,7 @@ from twirlkit.channels import (
     expand,
     make_single_qubit_pauli_noise,
     make_white_noise,
+    point_ensemble,
 )
 from twirlkit.circuits import (
     CliffordLayer,
@@ -376,6 +377,34 @@ class TestEngineAgreement:
                 slow = effective_fidelity_dense(c, obs)
                 assert abs(fast - slow) < 1e-10
 
+    def test_structured_noise_layers_match_dense(self):
+        # framed twirled channels held by bare noise layers, between Cliffords
+        from twirlkit.tableau import decompose_gates
+        from twirlkit.twirl import twirl_channel, twirl_channel_ksparse
+
+        rng = np.random.default_rng(29)
+        n = 4
+        noise = PauliChannel(n, tuple((0.02 * (i + 1), point_ensemble(random_pauli(n, True, rng))) for i in range(3)))
+        axis = parse_pauli("IYZX")
+        channels = (
+            twirl_channel(noise, SymmetrySpec.toffoli(n)),
+            twirl_channel(noise, SymmetrySpec.pauli_rotation(axis)),
+            twirl_channel_ksparse(make_single_qubit_pauli_noise(n, 0, 0.03, 0.02, 0.01), 2),
+        )
+        layers = []
+        for ch in channels:
+            op = random_clifford(n, rng)
+            layers += [CliffordLayer(op, tuple(decompose_gates(op))), NoiseLayer(ch)]
+        layers.append(RotationLayer(axis, math.pi / 4, rz_axis_noise(0.02, 0.01, 0.03), "analytic_full"))
+        c = LogicalCircuit(n, tuple(layers))
+        fidelities = []
+        for _ in range(12):
+            obs = random_pauli(n, exclude_identity=True, rng=rng)
+            fast, _ = effective_fidelity(c, obs, rng=None)
+            assert abs(fast - effective_fidelity_dense(c, obs)) < 1e-10
+            fidelities.append(fast)
+        assert len(set(np.round(fidelities, 9))) > 3
+
     def test_generic_angle_commuting_observable_agrees(self):
         layer = RotationLayer(parse_pauli("ZZI"), 0.3, rz_axis_noise(0.04, 0.03, 0.02))
         c = LogicalCircuit(3, (layer,))
@@ -490,3 +519,7 @@ class TestDistanceScan:
         assert row["p_err"] == pytest.approx(0.05)
         assert row["r"] > 1.0
         assert 0.0 <= row["tv_distance"] <= row["trace_distance"] + 1e-9
+
+    def test_rejects_zero_steps(self):
+        with pytest.raises(ValueError):
+            rescaled_distance_scan([3], [0], 0.25, 0.6, 1, 2, np.random.default_rng(28))

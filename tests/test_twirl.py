@@ -97,12 +97,6 @@ def test_rz_spec_shape():
     assert spec.registers == ((), (0,), (1, 2, 3))
 
 
-def test_t_gate_spec_matches_rz_shape():
-    spec = SymmetrySpec.t_gate(3)
-    assert (spec.n1, spec.n2, spec.n3) == (0, 1, 2)
-    assert spec.w.is_identity()
-
-
 def test_toffoli_spec_shape():
     spec = SymmetrySpec.toffoli(5)
     assert (spec.n1, spec.n2, spec.n3) == (0, 3, 2)
