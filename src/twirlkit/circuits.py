@@ -12,6 +12,13 @@ channel: directly for a noise layer, and for a rotation layer once per
 (qubit count, rates, mode, k) into a table indexed by the frame-qubit letter
 and the weight on the other qubits.
 
+A rotation layer costs only its walk: the set-up is shared between layers.
+Its frame gates are built, and checked on a tableau, once per axis; its rates
+are read once per noise channel; the rescale coefficient evaluates s/u once
+per distinct channel.  The frame, rate, channel and table memos are
+module-level ``lru_cache``s, so ``cache_clear`` empties them with the
+package's other memos.
+
 Twirl modes per rotation layer:
 
 * ``none`` — the bare noise channel.
@@ -76,8 +83,9 @@ def rz_axis_noise(px: float, py: float, pz: float) -> PauliChannel:
     return make_single_qubit_pauli_noise(1, 0, px, py, pz)
 
 
+@lru_cache(maxsize=None)
 def _point_rates(ch: PauliChannel) -> tuple[float, float, float]:
-    """Extract (px, py, pz) from a 1-qubit channel of point atoms."""
+    """Extract (px, py, pz) from a 1-qubit channel of point atoms, once per channel."""
     if ch.n != 1:
         raise ValueError("rotation-layer noise must be a single-qubit channel")
     rates = {"X": 0.0, "Y": 0.0, "Z": 0.0}
@@ -90,6 +98,13 @@ def _point_rates(ch: PauliChannel) -> tuple[float, float, float]:
             raise ValueError("rotation-layer noise atoms must be nonidentity")
         rates[letter] += prob
     return rates["X"], rates["Y"], rates["Z"]
+
+
+@lru_cache(maxsize=None)
+def _frame_gates(axis: PauliOp) -> tuple[GateSpec, ...]:
+    """Frame gates shared by every rotation layer about ``axis``."""
+    _, gates = clifford_mapping_z0_to(axis)
+    return tuple(gates)
 
 
 @dataclass(frozen=True)
@@ -138,11 +153,10 @@ class RotationLayer:
     def n(self) -> int:
         return self.axis.n
 
-    @cached_property
+    @property
     def frame_gates(self) -> tuple[GateSpec, ...]:
         """Gate list for the frame V with V·axis·V† = Z on qubit 0."""
-        _, gates = clifford_mapping_z0_to(self.axis)
-        return tuple(gates)
+        return _frame_gates(self.axis)
 
     @cached_property
     def rates(self) -> tuple[float, float, float]:
@@ -422,7 +436,8 @@ def _rotation_step(
     rng: np.random.Generator | None,
 ) -> None:
     """Back-propagate the batch through one rotation layer, updating lam."""
-    for g in layer.frame_gates:
+    frame = layer.frame_gates
+    for g in frame:
         _apply_gate_bits(xb, zb, g)
 
     mode = layer.twirl_mode
@@ -459,7 +474,7 @@ def _rotation_step(
         for g in gadget.gates:
             _apply_gate_bits(xb, zb, g)
 
-    for g in reversed(layer.frame_gates):
+    for g in reversed(frame):
         _apply_gate_bits(xb, zb, g)
 
 
@@ -595,17 +610,17 @@ def optimal_rescale_coefficient(c: LogicalCircuit) -> float:
     square of the channel's Pauli fidelities over nonidentity Paulis.
     """
     result = 1.0
-    seen: dict[Layer, float] = {}
+    seen: dict[PauliChannel, float] = {}
     for layer in c.layers:
         if isinstance(layer, CliffordLayer):
             continue
-        if layer not in seen:
-            ch = layer_noise_channel(layer) if isinstance(layer, RotationLayer) else layer.channel
+        ch = layer_noise_channel(layer) if isinstance(layer, RotationLayer) else layer.channel
+        if ch not in seen:
             u = unitarity(ch)
             if u <= 0:
                 raise ValueError("layer channel has nonpositive unitarity")
-            seen[layer] = avg_noise_strength(ch) / u
-        result *= seen[layer]
+            seen[ch] = avg_noise_strength(ch) / u
+        result *= seen[ch]
     return result
 
 

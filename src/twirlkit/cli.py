@@ -127,7 +127,7 @@ def _version() -> str:
         )
         if described.returncode == 0:
             return f"{base}+g{described.stdout.strip()}"
-    except OSError:
+    except (OSError, subprocess.TimeoutExpired):
         pass
     return base
 

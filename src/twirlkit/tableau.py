@@ -241,11 +241,13 @@ def from_gates(n: int, gates: list[GateSpec] | tuple[GateSpec, ...]) -> Clifford
     for g in gates:
         if max(g.qubits) >= n:
             raise ValueError(f"gate {g} addresses qubit >= n={n}")
-    image_x = list(identity_clifford(n).image_x)
-    image_z = list(identity_clifford(n).image_z)
+    start = identity_clifford(n)
+    image_x, image_z = list(start.image_x), list(start.image_z)
     for g in gates:
-        image_x = [_apply_gate(p, g) for p in image_x]
-        image_z = [_apply_gate(p, g) for p in image_z]
+        # A gate acts as the identity, sign included, on an image with no bit on its qubits.
+        touched = sum(1 << q for q in g.qubits)
+        image_x = [_apply_gate(p, g) if (p.x | p.z) & touched else p for p in image_x]
+        image_z = [_apply_gate(p, g) if (p.x | p.z) & touched else p for p in image_z]
     return CliffordOp(n, tuple(image_x), tuple(image_z))
 
 

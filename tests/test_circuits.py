@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from twirlkit import circuits
 from twirlkit.channels import (
     make_single_qubit_pauli_noise,
     make_white_noise,
@@ -339,6 +340,35 @@ class TestDeterministicWalk:
         with pytest.raises(ValueError):
             effective_fidelity(c, parse_pauli("XXX"), rng=None)
 
+    def test_frames_built_once_per_axis(self, monkeypatch):
+        # The memos are found the way a caller that clears every module-level
+        # memo finds them: by their ``cache_clear``.
+        memos = [obj for obj in vars(circuits).values() if callable(getattr(obj, "cache_clear", None))]
+        for memo in memos:
+            memo.cache_clear()
+        calls = []
+        original = circuits.clifford_mapping_z0_to
+
+        def counted(axis):
+            calls.append(axis)
+            return original(axis)
+
+        monkeypatch.setattr(circuits, "clifford_mapping_z0_to", counted)
+        noise = rz_axis_noise(0.02, 0.01, 0.0)
+        rng = np.random.default_rng(31)
+        paulis = [random_pauli(9, exclude_identity=True, rng=rng) for _ in range(20)]
+        for mode, k in (("none", None), ("analytic_full", None), ("analytic_ksparse", 2)):
+            c = build_trotter_circuit(
+                heisenberg_2d(3, 3), 2, 0.1, clifford_sim=True, base_noise=noise, twirl_mode=mode, k=k
+            )
+            warm, _ = effective_fidelity_batch(c, paulis)
+        assert len(calls) == 36 == len(set(calls))
+        for memo in memos:
+            memo.cache_clear()
+        cold, _ = effective_fidelity_batch(c, paulis)
+        assert len(calls) == 72
+        assert np.array_equal(cold, warm)
+
 
 # ---------------------------------------------------------------------------
 # sampled twirl modes
@@ -484,6 +514,25 @@ class TestRescalingAndBias:
         bias_plain, _ = average_bias(plain, 120, rng=np.random.default_rng(20))
         bias_twirled, _ = average_bias(twirled, 120, rng=np.random.default_rng(20))
         assert bias_twirled <= bias_plain
+
+    def test_rescale_is_the_product_over_layers(self):
+        n = 4
+        noises = (rz_axis_noise(0.03, 0.01, 0.0), rz_axis_noise(0.0, 0.02, 0.01))
+        modes = (("none", None), ("analytic_ksparse", 2))
+        layers = []
+        for axis in ("XXII", "IZZI", "YIIY", "XXII"):
+            for noise in noises:
+                for mode, k in modes:
+                    layers.append(RotationLayer(parse_pauli(axis), math.pi / 4, noise, mode, k))
+            layers.append(NoiseLayer(make_white_noise(n, 0.01)))
+            layers.append(NoiseLayer(make_single_qubit_pauli_noise(n, 2, 0.01, 0.0, 0.02)))
+        white = [layer.channel for layer in layers[4::6]]
+        assert white[0] == white[1] and white[0] is not white[1]
+        expected = 1.0
+        for layer in layers:
+            ch = layer_noise_channel(layer) if isinstance(layer, RotationLayer) else layer.channel
+            expected *= avg_noise_strength(ch) / unitarity(ch)
+        assert optimal_rescale_coefficient(LogicalCircuit(n, tuple(layers))) == expected
 
     def test_bias_requires_rng(self):
         c = build_trotter_circuit(heisenberg_1d(3), 1, 0.1)

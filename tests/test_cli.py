@@ -8,10 +8,12 @@ config-hash echoing, and the documented exit codes.
 import csv
 import hashlib
 import json
+import subprocess
 
 import jsonschema
 import pytest
 
+import twirlkit.cli
 from twirlkit.cli import (
     BudgetInput,
     ConfigError,
@@ -221,6 +223,17 @@ class TestOverheadScan:
         manifest = json.loads((out / "overhead_manifest.json").read_text())
         jsonschema.Draft202012Validator(_schema("manifest")).validate(manifest)
         assert manifest["rows"] == 3 and manifest["config_sha256"] == sha
+
+    def test_hung_git_describe_falls_back_to_base_version(self, tmp_path, monkeypatch):
+        def hang(cmd, **kwargs):
+            raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+        monkeypatch.setattr(twirlkit.cli.subprocess, "run", hang)
+        cfg = write_config(tmp_path, "o.json", {"p_err": 1e-3, "n": 4, "num_layers": [10]})
+        out = tmp_path / "out"
+        assert main(["overhead", "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "overhead_manifest.json").read_text())
+        assert manifest["version"] and "+g" not in manifest["version"]
 
 
 class TestBiasScan:

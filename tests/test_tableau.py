@@ -191,11 +191,20 @@ def test_inverse_roundtrip():
 
 def test_apply_gates_matches_tableau():
     rng = np.random.default_rng(8)
-    gates = [gate("H", 0), gate("CNOT", 0, 2), gate("S", 1), gate("CZ", 1, 2), gate("SWAP", 0, 1)]
-    tab = from_gates(3, gates)
-    for _ in range(20):
-        p = random_pauli(3, rng=rng).with_phase(int(rng.integers(4)))
-        assert apply_gates(p, gates) == conjugate(tab, p)
+    cases = [
+        (3, [gate("H", 0), gate("CNOT", 0, 2), gate("S", 1), gate("CZ", 1, 2), gate("SWAP", 0, 1)]),
+        # qubits 3 and 4 untouched: their generator images stay as they are
+        (5, [gate("X", 0), gate("H", 1), gate("MULTICNOT", 1, 0, 2), gate("Y", 2), gate("S", 0),
+             gate("Z", 1), gate("CNOT", 2, 0), gate("Y", 1), gate("MULTICNOT", 0, 2, 1)]),
+    ]
+    for n, gates in cases:
+        tab = from_gates(n, gates)
+        u = gates_to_dense(gates, n)
+        for _ in range(20):
+            p = random_pauli(n, rng=rng).with_phase(int(rng.integers(4)))
+            got = conjugate(tab, p)
+            assert apply_gates(p, gates) == got
+            assert (pauli_label(got), got.phase) == ref.conjugate_dense(u, pauli_label(p), p.phase)
 
 
 def test_invert_gates():
