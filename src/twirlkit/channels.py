@@ -26,7 +26,7 @@ import numpy as np
 
 from .paulis import PauliOp, commutes, format_pauli, identity, parse_pauli, random_bits, random_pauli, weight
 from .paulis import _get_bit, _mask_words, _num_words, _packed, _popcount_rows
-from .tableau import CliffordOp, GateSpec, _apply_gate_bits, conjugate, from_gates, inverse
+from .tableau import GateSpec, _apply_gate_bits, _check_qubits, apply_gates, invert_gates
 
 _PROB_TOL = 1e-12
 _ENUM_CAP = 1 << 16  # largest ensemble we will materialize when merging overlaps
@@ -407,9 +407,9 @@ class PauliEnsemble:
     """Uniform distribution over a structured set of unsigned n-qubit Paulis.
 
     The factors' registers must partition {0, …, n−1}.  An optional Clifford
-    frame (as a gate sequence) conjugates every member; statistical queries
-    conjugate the query Pauli by the inverse frame instead of materializing
-    the conjugated set.
+    frame, kept only as its gate sequence, conjugates every member;
+    statistical queries replay the inverse gate list on the query Pauli
+    instead of materializing the conjugated set.
     """
 
     n: int
@@ -420,6 +420,7 @@ class PauliEnsemble:
         object.__setattr__(self, "factors", tuple(self.factors))
         if self.frame_gates is not None:
             object.__setattr__(self, "frame_gates", tuple(self.frame_gates))
+            _check_qubits(self.n, self.frame_gates)
         covered: set[int] = set()
         for f in self.factors:
             if covered & set(f.register):
@@ -429,14 +430,8 @@ class PauliEnsemble:
             raise ValueError(f"factor registers must partition 0..{self.n - 1}")
 
     @cached_property
-    def _frame(self) -> CliffordOp | None:
-        if self.frame_gates is None:
-            return None
-        return from_gates(self.n, list(self.frame_gates))
-
-    @cached_property
-    def _frame_inv(self) -> CliffordOp | None:
-        return None if self._frame is None else inverse(self._frame)
+    def _frame_inv_gates(self) -> tuple[GateSpec, ...]:
+        return tuple(invert_gates(self.frame_gates or ()))
 
     @property
     def cardinality(self) -> int:
@@ -452,7 +447,7 @@ class PauliEnsemble:
     def mean_chi_exact(self, p: PauliOp) -> Fraction:
         if p.n != self.n:
             raise ValueError("dimension mismatch")
-        q = p if self._frame_inv is None else conjugate(self._frame_inv, p)
+        q = apply_gates(p, self._frame_inv_gates)
         out = Fraction(1)
         for f in self.factors:
             out *= f.mean_chi_local(q.restrict(f.register))
@@ -474,7 +469,7 @@ class PauliEnsemble:
     def contains(self, p: PauliOp) -> bool:
         if p.phase != 0:
             return False
-        q = p if self._frame_inv is None else conjugate(self._frame_inv, p).unsigned()
+        q = apply_gates(p, self._frame_inv_gates).unsigned()
         return all(f.contains_local(q.restrict(f.register)) for f in self.factors)
 
     def sample(self, rng: np.random.Generator) -> PauliOp:
@@ -483,10 +478,7 @@ class PauliEnsemble:
             dx, dz = _place(f.register, f.sample_local(rng))
             x |= dx
             z |= dz
-        member = PauliOp(self.n, x, z)
-        if self._frame is not None:
-            member = conjugate(self._frame, member).unsigned()
-        return member
+        return apply_gates(PauliOp(self.n, x, z), self.frame_gates or ()).unsigned()
 
     def members(self):
         """Iterate all members; only sensible for small cardinalities."""
@@ -499,10 +491,7 @@ class PauliEnsemble:
                 dx, dz = _place(f.register, local)
                 x |= dx
                 z |= dz
-            member = PauliOp(self.n, x, z)
-            if self._frame is not None:
-                member = conjugate(self._frame, member).unsigned()
-            yield member
+            yield apply_gates(PauliOp(self.n, x, z), self.frame_gates or ()).unsigned()
 
     def to_dict(self) -> dict:
         return {

@@ -41,8 +41,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .channels import PauliChannel, avg_noise_strength, fidelity_batch, make_single_qubit_pauli_noise, unitarity
-from .paulis import PauliOp, _bits_from_paulis, _get_bit, _mask_words, _pauli_from_bits, _popcount_rows, random_pauli
-from .tableau import CliffordOp, GateSpec, _apply_gate_bits, clifford_mapping_z0_to, conjugate, inverse
+from .paulis import PauliOp, _bits_from_paulis, _get_bit, _mask_words, _popcount_rows, random_pauli
+from .tableau import CliffordOp, GateSpec, _apply_gate_bits, clifford_mapping_z0_to, decompose_gates
 from .twirl import SymmetrySpec, sample_full_twirl_gate, sample_ksparse_twirl_gate, twirl_channel, twirl_channel_ksparse
 
 __all__ = [
@@ -103,8 +103,7 @@ def _point_rates(ch: PauliChannel) -> tuple[float, float, float]:
 @lru_cache(maxsize=None)
 def _frame_gates(axis: PauliOp) -> tuple[GateSpec, ...]:
     """Frame gates shared by every rotation layer about ``axis``."""
-    _, gates = clifford_mapping_z0_to(axis)
-    return tuple(gates)
+    return clifford_mapping_z0_to(axis)
 
 
 @dataclass(frozen=True)
@@ -185,23 +184,23 @@ class RotationLayer:
 
 @dataclass(frozen=True)
 class CliffordLayer:
-    """A noiseless Clifford operation between rotation layers.
+    """A noiseless Clifford operation between rotation layers, run as its gate list.
 
-    When the generating gate list is known it should be supplied: observables
-    then propagate through it with vectorized bit updates instead of
-    per-observable tableau conjugation.
+    ``gates`` must generate ``op``; when omitted it is synthesized from ``op``
+    with ``decompose_gates``.  The engine and the dense oracle read only the
+    gates.
     """
 
     op: CliffordOp
     gates: tuple[GateSpec, ...] | None = None
 
+    def __post_init__(self) -> None:
+        if self.gates is None:
+            object.__setattr__(self, "gates", tuple(decompose_gates(self.op)))
+
     @property
     def n(self) -> int:
         return self.op.n
-
-    @cached_property
-    def inv_op(self) -> CliffordOp:
-        return inverse(self.op)
 
 
 @dataclass(frozen=True)
@@ -490,15 +489,8 @@ def _walk(
         if isinstance(layer, RotationLayer):
             _rotation_step(layer, xb, zb, lam, rng)
         elif isinstance(layer, CliffordLayer):
-            if layer.gates is not None:
-                for g in reversed(layer.gates):
-                    _apply_gate_bits(xb, zb, g)
-            else:
-                images = [
-                    conjugate(layer.inv_op, _pauli_from_bits(xb, zb, i, c.n)).unsigned()
-                    for i in range(xb.shape[0])
-                ]
-                xb[:], zb[:] = _bits_from_paulis(images, c.n)
+            for g in reversed(layer.gates):
+                _apply_gate_bits(xb, zb, g)
         else:
             lam *= fidelity_batch(layer.channel, xb, zb)
     return lam

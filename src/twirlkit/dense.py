@@ -303,8 +303,7 @@ def circuit_unitary(c: LogicalCircuit) -> np.ndarray:
             axis = layer.axis
             u = _rotation_unitary(c.n, axis.x, axis.z, axis.phase, layer.angle) @ u
         elif isinstance(layer, CliffordLayer):
-            gates = layer.gates if layer.gates is not None else tuple(decompose_gates(layer.op))
-            u = clifford_unitary(c.n, gates) @ u
+            u = clifford_unitary(c.n, layer.gates) @ u
     return u
 
 
@@ -462,8 +461,7 @@ def _ideal_pass(c: LogicalCircuit, mat: np.ndarray) -> np.ndarray:
             rot = _rotation_unitary(c.n, axis.x, axis.z, axis.phase, layer.angle)
             out = rot @ out @ rot.conj().T
         elif isinstance(layer, CliffordLayer):
-            gates = layer.gates if layer.gates is not None else tuple(decompose_gates(layer.op))
-            u = clifford_unitary(c.n, gates)
+            u = clifford_unitary(c.n, layer.gates)
             out = u @ out @ u.conj().T
     return out
 
@@ -474,8 +472,7 @@ def _noisy_pass(c: LogicalCircuit, mat: np.ndarray, rng: np.random.Generator | N
         if isinstance(layer, RotationLayer):
             out = _noisy_rotation_raw(out, layer, rng)
         elif isinstance(layer, CliffordLayer):
-            gates = layer.gates if layer.gates is not None else tuple(decompose_gates(layer.op))
-            u = clifford_unitary(c.n, gates)
+            u = clifford_unitary(c.n, layer.gates)
             out = u @ out @ u.conj().T
         elif isinstance(layer, NoiseLayer):
             out = _apply_channel_raw(out, layer.channel)

@@ -233,11 +233,6 @@ def _bits_from_paulis(paulis: list[PauliOp], n: int) -> tuple[np.ndarray, np.nda
     return xb, zb
 
 
-def _pauli_from_bits(xb: np.ndarray, zb: np.ndarray, i: int, n: int) -> PauliOp:
-    x, z = (sum(int(v) << (w * _WORD_BITS) for w, v in enumerate(arr[i])) for arr in (xb, zb))
-    return PauliOp(n, x, z)
-
-
 def _get_bit(arr: np.ndarray, q: int) -> np.ndarray:
     return (arr[:, q // _WORD_BITS] >> np.uint64(q % _WORD_BITS)) & np.uint64(1)
 

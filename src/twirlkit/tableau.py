@@ -16,6 +16,11 @@ and on packed batches of unsigned Paulis through their sign-free bit rules.
 Uniform random sampling uses the exact canonical-form construction over the
 binary symplectic group (transvection-based, rejection-free), plus uniform
 sign bits — every tableau is produced with equal probability.
+
+Tableaus are for sampling, synthesis and checks.  Everywhere else a Clifford
+is kept as its gate list (rotation frames, symmetry frames, Clifford layers,
+twirling gadgets) and acts on Paulis through ``apply_gates`` or, on packed
+batches, ``_apply_gate_bits``.
 """
 
 from __future__ import annotations
@@ -236,11 +241,16 @@ def inverse(c: CliffordOp) -> CliffordOp:
     )
 
 
-def from_gates(n: int, gates: list[GateSpec] | tuple[GateSpec, ...]) -> CliffordOp:
-    """Tableau of a gate sequence applied left to right."""
+def _check_qubits(n: int, gates: list[GateSpec] | tuple[GateSpec, ...]) -> None:
+    """Reject a gate that addresses a qubit outside 0..n−1."""
     for g in gates:
         if max(g.qubits) >= n:
             raise ValueError(f"gate {g} addresses qubit >= n={n}")
+
+
+def from_gates(n: int, gates: list[GateSpec] | tuple[GateSpec, ...]) -> CliffordOp:
+    """Tableau of a gate sequence applied left to right."""
+    _check_qubits(n, gates)
     start = identity_clifford(n)
     image_x, image_z = list(start.image_x), list(start.image_z)
     for g in gates:
@@ -346,12 +356,6 @@ def single_qubit_clifford_gates(index: int, qubit: int) -> list[GateSpec]:
     """Gate sequence of the index-th single-qubit Clifford, placed on ``qubit``."""
     word = single_qubit_clifford_words()[index]
     return [GateSpec(kind, (qubit,)) for kind in word]
-
-
-def random_single_qubit_clifford(rng: np.random.Generator) -> CliffordOp:
-    """Uniform over the 24 single-qubit Clifford tableaus."""
-    idx = int(rng.integers(24))
-    return from_gates(1, single_qubit_clifford_gates(idx, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +542,13 @@ def decompose_gates(c: CliffordOp) -> list[GateSpec]:
     return invert_gates(applied)
 
 
-def clifford_mapping_z0_to(axis: PauliOp) -> tuple[CliffordOp, list[GateSpec]]:
-    """Deterministic V (with gates) such that conjugate(V, axis) == +Z on qubit 0.
+def clifford_mapping_z0_to(axis: PauliOp) -> tuple[GateSpec, ...]:
+    """Deterministic gates of a V with V·axis·V† == +Z on qubit 0.
 
-    Construction: per-support-qubit letter rotations to Z, a CNOT fan folding
-    the Z string onto the first support qubit, then a SWAP to qubit 0.
-    Requires a non-identity axis with sign +1.
+    Construction: per-support-qubit letter rotations to Z (H for X; S, H, X
+    for Y, which is H·S† up to phase), a CNOT fan folding the Z string onto
+    the first support qubit, then a SWAP to qubit 0.  The result is checked
+    once on a tableau.  Requires a non-identity axis with sign +1.
     """
     if axis.is_identity:
         raise ValueError("rotation axis must be a non-identity Pauli")
@@ -555,8 +560,7 @@ def clifford_mapping_z0_to(axis: PauliOp) -> tuple[CliffordOp, list[GateSpec]]:
     for q in support:
         letter = axis.letter_at(q)
         if letter == "Y":
-            gates.extend([gate("S", q)] * 3)
-            gates.append(gate("H", q))
+            gates.extend([gate("S", q), gate("H", q), gate("X", q)])
         elif letter == "X":
             gates.append(gate("H", q))
     head = support[0]
@@ -564,7 +568,6 @@ def clifford_mapping_z0_to(axis: PauliOp) -> tuple[CliffordOp, list[GateSpec]]:
         gates.append(gate("CNOT", q, head))
     if head != 0:
         gates.append(gate("SWAP", head, 0))
-    v = from_gates(n, gates)
-    check = conjugate(v, axis)
+    check = conjugate(from_gates(n, gates), axis)
     assert check == single(n, 0, "Z"), f"axis frame construction failed: {check}"
-    return v, gates
+    return tuple(gates)

@@ -16,7 +16,8 @@ disturbing the gate itself.  This module provides:
 
 Gadget orientation: a gadget D is placed as D† before the rotation and D
 after it, so a noise element E occurring after the rotation is transformed
-into D E D† (``conjugate(gadget.gate, E)``).
+into D E D† (``gadget.conjugate_pauli(E)``).  Gadgets and symmetry frames
+are kept as gate lists; no tableau is built for them.
 """
 
 from __future__ import annotations
@@ -41,14 +42,11 @@ from .channels import (
 )
 from .paulis import PauliOp, identity, weight
 from .tableau import (
-    CliffordOp,
     GateSpec,
+    _check_qubits,
     apply_gates,
     clifford_mapping_z0_to,
-    conjugate,
-    from_gates,
     gate,
-    identity_clifford,
     invert_gates,
     single_qubit_clifford_gates,
 )
@@ -63,26 +61,25 @@ _ENUMERATION_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class SymmetrySpec:
-    """Register split (n1, n2, n3) and Clifford frame describing the symmetry group.
+    """Register split (n1, n2, n3) and Clifford frame W describing the symmetry group.
 
-    In the frame (after conjugating by ``w``), the group is the diagonal
-    {I,Z}-strings on the middle register: qubits [n1, n1+n2).  The first n1
-    qubits are untouched spectators and the last n3 are fully free.
+    W is kept as its gate list ``w_gates`` (applied left to right).  In the
+    frame (after conjugating by W), the group is the diagonal {I,Z}-strings
+    on the middle register: qubits [n1, n1+n2).  The first n1 qubits are
+    untouched spectators and the last n3 are fully free.
     """
 
     n1: int
     n2: int
     n3: int
-    w: CliffordOp
     w_gates: tuple[GateSpec, ...]
     provenance: str = "Custom"
 
     def __post_init__(self) -> None:
         if min(self.n1, self.n2, self.n3) < 0 or self.n2 == 0:
             raise ValueError("register sizes must be nonnegative with a nonempty middle register")
-        if self.n1 + self.n2 + self.n3 != self.w.n:
-            raise ValueError("register sizes must sum to the qubit count of the frame")
         object.__setattr__(self, "w_gates", tuple(self.w_gates))
+        _check_qubits(self.n, self.w_gates)
 
     @property
     def n(self) -> int:
@@ -104,19 +101,17 @@ class SymmetrySpec:
 
     @staticmethod
     def rz_first_qubit(n: int) -> "SymmetrySpec":
-        return SymmetrySpec(0, 1, n - 1, identity_clifford(n), (), "RzFirstQubit")
+        return SymmetrySpec(0, 1, n - 1, (), "RzFirstQubit")
 
     @staticmethod
     def toffoli(n: int) -> "SymmetrySpec":
         if n < 3:
             raise ValueError("a Toffoli needs at least three qubits")
-        gates = (gate("H", 2),)
-        return SymmetrySpec(0, 3, n - 3, from_gates(n, list(gates)), gates, "Toffoli")
+        return SymmetrySpec(0, 3, n - 3, (gate("H", 2),), "Toffoli")
 
     @staticmethod
     def pauli_rotation(axis: PauliOp) -> "SymmetrySpec":
-        w, gates = clifford_mapping_z0_to(axis)
-        return SymmetrySpec(0, 1, axis.n - 1, w, tuple(gates), "PauliRotation")
+        return SymmetrySpec(0, 1, axis.n - 1, clifford_mapping_z0_to(axis), "PauliRotation")
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +126,6 @@ class TwirlGadget:
     n: int
     gates: tuple[GateSpec, ...]
     support: frozenset[int]
-
-    @cached_property
-    def gate(self) -> CliffordOp:
-        return from_gates(self.n, list(self.gates))
 
     def conjugate_pauli(self, p: PauliOp) -> PauliOp:
         """D p D† straight off the gate list (no tableau build)."""
@@ -272,7 +263,7 @@ def twirl_channel(ch: PauliChannel, spec: SymmetrySpec) -> PauliChannel:
     new_atoms: list[tuple[float, PauliEnsemble]] = []
     for prob, e in ch.atoms:
         p = _point_member(e)
-        pf = conjugate(spec.w, p).unsigned()
+        pf = apply_gates(p, spec.w_gates).unsigned()
         p2 = pf.restrict(reg2)
         p3 = pf.restrict(reg3) if reg3 else None
         if p2.x != 0:

@@ -29,7 +29,7 @@ from twirlkit.channels import (
     unitarity,
 )
 from twirlkit.paulis import PauliOp, _bits_from_paulis, commutes, identity, parse_pauli, random_pauli, single
-from twirlkit.tableau import conjugate, decompose_gates, random_clifford
+from twirlkit.tableau import conjugate, decompose_gates, gate, random_clifford
 from twirlkit.twirl import SymmetrySpec, twirl_channel, twirl_channel_ksparse
 
 
@@ -116,6 +116,8 @@ def test_ensemble_register_partition_enforced():
         XYSetFactor((0, 1))
     with pytest.raises(ValueError):
         PointFactor((0,), parse_pauli("-X"))
+    with pytest.raises(ValueError):  # a frame gate on qubit 2 >= n = 2
+        PauliEnsemble(2, (XYSetFactor((0,)), XYSetFactor((1,))), (gate("CNOT", 0, 2),))
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from twirlkit.tableau import (
     apply_gates,
     compose,
     conjugate,
+    decompose_gates,
     from_gates,
     gate,
     inverse,
@@ -286,6 +287,16 @@ class TestDeterministicWalk:
             assert effective_fidelity(c_gates, obs, rng=rng)[0] == pytest.approx(
                 effective_fidelity(c_op, obs, rng=rng)[0], abs=1e-15
             )
+
+    def test_clifford_layer_without_gates_synthesizes_them(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 3, 5):
+            op = random_clifford(n, rng)
+            layer = CliffordLayer(op)
+            assert layer.gates == tuple(decompose_gates(op))
+            assert from_gates(n, layer.gates) == op
+        gates = (gate("H", 0), gate("CNOT", 0, 1))
+        assert CliffordLayer(from_gates(2, gates), gates).gates is gates
 
     def test_frame_independence_of_bias(self):
         rng = np.random.default_rng(11)

@@ -30,7 +30,6 @@ from twirlkit.tableau import (
     inverse,
     invert_gates,
     random_clifford,
-    random_single_qubit_clifford,
     single_qubit_clifford_gates,
     single_qubit_clifford_words,
 )
@@ -237,20 +236,6 @@ def test_single_qubit_clifford_gates_placement():
     assert all(g.qubits == (3,) for g in gates)
 
 
-def test_random_single_qubit_clifford_uniform():
-    rng = np.random.default_rng(2)
-    counts = {}
-    draws = 4800
-    for _ in range(draws):
-        tab = random_single_qubit_clifford(rng)
-        key = (tab.image_x[0], tab.image_z[0])
-        counts[key] = counts.get(key, 0) + 1
-    assert len(counts) == 24
-    expected = draws / 24
-    chi2 = sum((v - expected) ** 2 / expected for v in counts.values())
-    assert chi2 < 60  # 23 dof; this bound is ~5 sigma
-
-
 def test_two_qubit_clifford_group_order_by_enumeration():
     """BFS over {H,S,CNOT} tableau products finds exactly 11520 elements."""
     gens = [
@@ -365,12 +350,12 @@ def test_decompose_identity_is_empty_or_trivial():
 
 
 def test_clifford_mapping_z0_frozen_cases():
-    v, gates = clifford_mapping_z0_to(parse_pauli("ZII"))
-    assert conjugate(v, parse_pauli("ZII")) == single(3, 0, "Z")
-    assert gates == []
+    gates = clifford_mapping_z0_to(parse_pauli("ZII"))
+    assert conjugate(from_gates(3, gates), parse_pauli("ZII")) == single(3, 0, "Z")
+    assert gates == ()
 
-    v, gates = clifford_mapping_z0_to(parse_pauli("IXY"))
-    assert conjugate(v, parse_pauli("IXY")) == single(3, 0, "Z")
+    gates = clifford_mapping_z0_to(parse_pauli("IXY"))
+    assert conjugate(from_gates(3, gates), parse_pauli("IXY")) == single(3, 0, "Z")
 
 
 def test_clifford_mapping_z0_random_axes():
@@ -378,9 +363,29 @@ def test_clifford_mapping_z0_random_axes():
     for n in (1, 2, 4, 6):
         for _ in range(10):
             axis = random_pauli(n, exclude_identity=True, rng=rng)
-            v, gates = clifford_mapping_z0_to(axis)
-            assert conjugate(v, axis) == single(n, 0, "Z")
-            assert from_gates(n, gates) == v
+            gates = clifford_mapping_z0_to(axis)
+            assert conjugate(from_gates(n, gates), axis) == single(n, 0, "Z")
+            assert apply_gates(axis, gates) == single(n, 0, "Z")
+
+
+def test_clifford_mapping_z0_y_letter_costs_one_s():
+    """A Y letter is rotated by S, H, X: one S where S, S, S, H (= H·S†) had
+    three, with the same tableau, signs included."""
+    rng = np.random.default_rng(29)
+    axes = [parse_pauli("YZY"), parse_pauli("XYIY")]
+    axes += [random_pauli(n, exclude_identity=True, rng=rng) for n in (1, 2, 3, 5) for _ in range(6)]
+    for axis in axes:
+        n = axis.n
+        gates = clifford_mapping_z0_to(axis)
+        letters = [axis.letter_at(q) for q in range(n)]
+        assert sum(g.kind == "S" for g in gates) == letters.count("Y")
+        old = []
+        for g in gates:
+            if g.kind == "S":
+                old += [g, g]
+            if g.kind != "X":
+                old.append(g)
+        assert from_gates(n, old) == from_gates(n, gates)
 
 
 def test_clifford_mapping_z0_rejects_identity_and_signs():

@@ -37,7 +37,7 @@ from twirlkit.channels import (
     point_ensemble,
 )
 from twirlkit.paulis import PauliOp, commutes, identity, parse_pauli, random_pauli, single
-from twirlkit.tableau import apply_gates, conjugate, from_gates, gate, identity_clifford
+from twirlkit.tableau import apply_gates, conjugate, from_gates, gate
 from twirlkit.twirl import (
     SymmetrySpec,
     TwirlGadget,
@@ -93,7 +93,7 @@ def test_rz_spec_shape():
     spec = SymmetrySpec.rz_first_qubit(4)
     assert (spec.n1, spec.n2, spec.n3) == (0, 1, 3)
     assert spec.is_rz_type
-    assert spec.w.is_identity()
+    assert from_gates(4, spec.w_gates).is_identity()
     assert spec.registers == ((), (0,), (1, 2, 3))
 
 
@@ -102,19 +102,19 @@ def test_toffoli_spec_shape():
     assert (spec.n1, spec.n2, spec.n3) == (0, 3, 2)
     assert not spec.is_rz_type
     # frame is a Hadamard on the third qubit
-    assert conjugate(spec.w, single(5, 2, "X")) == single(5, 2, "Z")
+    assert conjugate(from_gates(5, spec.w_gates), single(5, 2, "X")) == single(5, 2, "Z")
 
 
 def test_pauli_rotation_spec_frames_axis_to_z0():
     axis = parse_pauli("IXY")
     spec = SymmetrySpec.pauli_rotation(axis)
     assert spec.is_rz_type
-    assert conjugate(spec.w, axis) == single(3, 0, "Z")
+    assert conjugate(from_gates(3, spec.w_gates), axis) == single(3, 0, "Z")
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        SymmetrySpec(1, 1, 3, identity_clifford(4), ())
+    with pytest.raises(ValueError):  # a frame gate on qubit 4 >= n = 4
+        SymmetrySpec(0, 1, 3, (gate("H", 0), gate("CNOT", 1, 4)))
     with pytest.raises(ValueError):
         SymmetrySpec.toffoli(2)
 
@@ -238,11 +238,12 @@ def test_sampler_statistics_match_enumeration():
     dist = enumerate_sampler_distribution(2, "full")
     weights = {}
     for w, gdg in dist:
-        weights[gdg.gate] = weights.get(gdg.gate, Fraction(0)) + w
+        tab = from_gates(2, gdg.gates)
+        weights[tab] = weights.get(tab, Fraction(0)) + w
     draws = 20000
     counts = {}
     for _ in range(draws):
-        tab = sample_full_twirl_gate(2, rng).gate
+        tab = from_gates(2, sample_full_twirl_gate(2, rng).gates)
         counts[tab] = counts.get(tab, 0) + 1
     assert set(counts) <= set(weights)
     chi2 = sum(
@@ -470,9 +471,10 @@ def test_toffoli_case_two_orbit_at_four_qubits():
     assert orbit_under(frame_gates, start, 4) == claimed
 
     spec = SymmetrySpec.toffoli(4)
-    ch = PauliChannel(4, ((0.5, point_ensemble(conjugate(spec.w, start).unsigned())),))
+    w = from_gates(4, spec.w_gates)
+    ch = PauliChannel(4, ((0.5, point_ensemble(conjugate(w, start).unsigned())),))
     (_, e), = twirl_channel(ch, spec).atoms
-    assert {conjugate(spec.w, m).unsigned() for m in e.members()} == claimed
+    assert {conjugate(w, m).unsigned() for m in e.members()} == claimed
 
 
 def test_pauli_rotation_twirl_consistent_with_frame_conjugation():
@@ -486,7 +488,7 @@ def test_pauli_rotation_twirl_consistent_with_frame_conjugation():
         ch = PauliChannel(n, ((0.4, point_ensemble(err)),))
         out = expand(twirl_channel(ch, spec))
 
-        err_f = conjugate(spec.w, err).unsigned()
+        err_f = conjugate(from_gates(n, spec.w_gates), err).unsigned()
         ch_f = PauliChannel(n, ((0.4, point_ensemble(err_f)),))
         out_f = expand(twirl_channel(ch_f, SymmetrySpec.rz_first_qubit(n)))
         mapped = {}
