@@ -546,6 +546,14 @@ class PauliChannel:
         if total > 1.0 + _PROB_TOL:
             raise ValueError(f"atom probabilities sum to {total} > 1")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass field hash, computed once: layers look channels up by it."""
+        return hash((self.n, self.atoms))
+
     @property
     def p_err(self) -> float:
         return min(1.0, sum(p for p, _ in self.atoms))

@@ -15,9 +15,20 @@ and the weight on the other qubits.
 A rotation layer costs only its walk: the set-up is shared between layers.
 Its frame gates are built, and checked on a tableau, once per axis; its rates
 are read once per noise channel; the rescale coefficient evaluates s/u once
-per distinct channel.  The frame, rate, channel and table memos are
+per distinct channel.  The frame, axis-word, rate, channel and table memos are
 module-level ``lru_cache``s, so ``cache_clear`` empties them with the
 package's other memos.
+
+The walk replays a rotation layer's gates once, forward only.  A copy of the
+rows goes through the frame V and, in the sampled modes, the drawn gadget D
+inverted; the fidelity is read there.  The rows themselves take the rotation
+about the axis Q as P → P·Q when P anticommutes with Q, and stay P otherwise.
+Three facts make this exact: (1) a symmetric gadget D fixes Z on qubit 0, so
+the copy's qubit-0 x-bit is that anticommutation bit; (2) the rotation only
+swaps X and Y on qubit 0, so the gadget's second depolarizing factor, set by
+the weight on its support, reads the same on the copy as after the rotation;
+(3) one gadget is drawn per layer and shot, in walk order, so the random
+stream does not depend on how the gates are replayed.
 
 Twirl modes per rotation layer:
 
@@ -41,7 +52,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .channels import PauliChannel, avg_noise_strength, fidelity_batch, make_single_qubit_pauli_noise, unitarity
-from .paulis import PauliOp, _bits_from_paulis, _get_bit, _mask_words, _popcount_rows, random_pauli
+from .paulis import PauliOp, _bits_from_paulis, _get_bit, _mask_words, _popcount_rows, random_paulis
 from .tableau import CliffordOp, GateSpec, _apply_gate_bits, clifford_mapping_z0_to, decompose_gates
 from .twirl import SymmetrySpec, sample_full_twirl_gate, sample_ksparse_twirl_gate, twirl_channel, twirl_channel_ksparse
 
@@ -104,6 +115,14 @@ def _point_rates(ch: PauliChannel) -> tuple[float, float, float]:
 def _frame_gates(axis: PauliOp) -> tuple[GateSpec, ...]:
     """Frame gates shared by every rotation layer about ``axis``."""
     return clifford_mapping_z0_to(axis)
+
+
+@lru_cache(maxsize=None)
+def _axis_words(axis: PauliOp) -> tuple[np.ndarray, np.ndarray]:
+    """The axis as one packed (1, words) x row and z row, shared like its frame."""
+    qx, qz = _bits_from_paulis([axis], axis.n)
+    qx.flags.writeable = qz.flags.writeable = False
+    return qx, qz
 
 
 @dataclass(frozen=True)
@@ -434,10 +453,18 @@ def _rotation_step(
     lam: np.ndarray,
     rng: np.random.Generator | None,
 ) -> None:
-    """Back-propagate the batch through one rotation layer, updating lam."""
-    frame = layer.frame_gates
-    for g in frame:
-        _apply_gate_bits(xb, zb, g)
+    """Back-propagate the batch through one rotation layer, updating lam.
+
+    A copy of the rows is taken through the frame and, in the sampled modes,
+    the inverted gadget; the letter, the weight and both depolarizing factors
+    are read off it.  The rows take the rotation as P → P·Q where the copy's
+    qubit-0 x-bit is set: the gadget fixes Z on qubit 0, so that bit is the
+    anticommutation of P with the axis, and the rotation leaves the weight on
+    the gadget's support alone.  A sampled layer draws one gadget per call.
+    """
+    fx, fz = xb.copy(), zb.copy()
+    for g in layer.frame_gates:
+        _apply_gate_bits(fx, fz, g)
 
     mode = layer.twirl_mode
     gadget = None
@@ -446,35 +473,31 @@ def _rotation_step(
             gadget = sample_full_twirl_gate(layer.n, rng)
         else:
             gadget = sample_ksparse_twirl_gate(layer.n, layer.k, rng)
-        _gadget_depolarize(layer.gadget_noise_rate, gadget.support, xb, zb, lam)
+        _gadget_depolarize(layer.gadget_noise_rate, gadget.support, fx, fz, lam)
         for g in reversed(gadget.gates):
-            _apply_gate_bits(xb, zb, g)
+            _apply_gate_bits(fx, fz, g)
 
-    x0 = _get_bit(xb, 0)
-    z0 = _get_bit(zb, 0)
+    x0 = _get_bit(fx, 0)
+    z0 = _get_bit(fz, 0)
     table = _fidelity_table(layer.n, layer.rates, mode, layer.k)
     letter = (x0 + 2 * z0).astype(np.intp)
     if table.ndim == 1:
         lam *= table[letter]
     else:
-        lam *= table[letter, _popcount_rows(xb | zb) - (x0 | z0).astype(np.int64)]
+        lam *= table[letter, _popcount_rows(fx | fz) - (x0 | z0).astype(np.int64)]
+    if gadget is not None:
+        _gadget_depolarize(layer.gadget_noise_rate, gadget.support, fx, fz, lam)
 
     kind = layer.rotation_kind
     if kind == "quarter":
-        zb[:, 0] ^= x0
+        qx, qz = _axis_words(layer.axis)
+        xb ^= x0[:, None] * qx
+        zb ^= x0[:, None] * qz
     elif kind == "generic" and x0.any():
         raise ValueError(
             "non-Clifford rotation angle: deterministic propagation only supports "
             "observables that commute with the axis (use the dense oracle instead)"
         )
-
-    if gadget is not None:
-        _gadget_depolarize(layer.gadget_noise_rate, gadget.support, xb, zb, lam)
-        for g in gadget.gates:
-            _apply_gate_bits(xb, zb, g)
-
-    for g in reversed(frame):
-        _apply_gate_bits(xb, zb, g)
 
 
 def _walk(
@@ -632,7 +655,7 @@ def average_bias(
         raise ValueError("need at least one observable")
     if rng is None:
         raise ValueError("an explicit seeded rng is required")
-    paulis = [random_pauli(c.n, exclude_identity=True, rng=rng) for _ in range(num_paulis)]
+    paulis = random_paulis(c.n, num_paulis, exclude_identity=True, rng=rng)
     means, _ = effective_fidelity_batch(c, paulis, shots, rng)
     r = optimal_rescale_coefficient(c)
     biases = np.abs(r * np.abs(means) - 1.0)

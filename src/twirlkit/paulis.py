@@ -155,14 +155,33 @@ def random_pauli(
             non-identity strings (by rejection).
         rng: Seeded numpy Generator; owned by the caller.
     """
+    return random_paulis(n, 1, exclude_identity, rng)[0]
+
+
+def random_paulis(
+    n: int, count: int, exclude_identity: bool = False, rng: np.random.Generator | None = None
+) -> list[PauliOp]:
+    """``count`` draws of ``random_pauli(n, exclude_identity, rng)`` in bulk.
+
+    Each draw reads its x bits, then its z bits, as ``random_bits(n, rng)``
+    would, and rejected identities are redrawn.  ``rng.bytes(k)`` reads
+    ⌈k/4⌉ uint32 words, little-endian, cut to k bytes, so one ``integers``
+    draw of those words reads the same stream and leaves the generator in
+    the same state; after rejections only the deficit is drawn.
+    """
     if rng is None:
         raise ValueError("an explicit seeded rng is required")
-    while True:
-        x = random_bits(n, rng)
-        z = random_bits(n, rng)
-        if exclude_identity and x == 0 and z == 0:
-            continue
-        return PauliOp(n, x, z)
+    words = ((n + 7) // 8 + 3) // 4  # uint32 words per random_bits call
+    mask = (1 << n) - 1
+    out: list[PauliOp] = []
+    while len(out) < count:
+        raw = rng.integers(0, 2**32, size=(count - len(out), 2, words), dtype=np.uint32).astype("<u4")
+        for row in raw:
+            x = int.from_bytes(row[0].tobytes(), "little") & mask
+            z = int.from_bytes(row[1].tobytes(), "little") & mask
+            if not (exclude_identity and x == 0 and z == 0):
+                out.append(PauliOp(n, x, z))
+    return out
 
 
 def parse_pauli(s: str) -> PauliOp:

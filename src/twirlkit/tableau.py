@@ -352,10 +352,11 @@ def single_qubit_clifford_words() -> tuple[tuple[str, ...], ...]:
     return tuple(sorted(seen.values()))
 
 
-def single_qubit_clifford_gates(index: int, qubit: int) -> list[GateSpec]:
-    """Gate sequence of the index-th single-qubit Clifford, placed on ``qubit``."""
+@lru_cache(maxsize=None)
+def single_qubit_clifford_gates(index: int, qubit: int) -> tuple[GateSpec, ...]:
+    """Gate sequence of the index-th single-qubit Clifford, placed on ``qubit`` (memoized)."""
     word = single_qubit_clifford_words()[index]
-    return [GateSpec(kind, (qubit,)) for kind in word]
+    return tuple(GateSpec(kind, (qubit,)) for kind in word)
 
 
 # ---------------------------------------------------------------------------

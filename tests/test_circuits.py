@@ -380,6 +380,44 @@ class TestDeterministicWalk:
         assert len(calls) == 72
         assert np.array_equal(cold, warm)
 
+    @pytest.mark.parametrize(
+        "mode,k",
+        [("none", None), ("analytic_full", None), ("analytic_ksparse", 2), ("full", None), ("ksparse", 2)],
+    )
+    def test_each_layer_replays_its_gates_once(self, monkeypatch, mode, k):
+        sampled = mode in ("full", "ksparse")
+        trotter = build_trotter_circuit(
+            heisenberg_2d(3, 3), 1, 0.1, clifford_sim=True, base_noise=rz_axis_noise(0.02, 0.01, 0.0),
+            twirl_mode=mode, k=k, gadget_noise_rate=0.05 if sampled else 0.0,
+        )
+        rng = np.random.default_rng(17)
+        clifford = CliffordLayer(random_clifford(9, rng))
+        c = LogicalCircuit(9, (clifford, *trotter.layers, clifford))
+        applied, gadgets = [], []
+        apply_gate_bits = circuits._apply_gate_bits
+
+        def counted_apply(xb, zb, g):
+            applied.append(g)
+            apply_gate_bits(xb, zb, g)
+
+        def recorded(sampler):
+            def draw(*args):
+                gadgets.append(sampler(*args))
+                return gadgets[-1]
+
+            return draw
+
+        monkeypatch.setattr(circuits, "_apply_gate_bits", counted_apply)
+        for name in ("sample_full_twirl_gate", "sample_ksparse_twirl_gate"):
+            monkeypatch.setattr(circuits, name, recorded(getattr(circuits, name)))
+        paulis = [random_pauli(9, exclude_identity=True, rng=rng) for _ in range(10)]
+        shots = 3
+        effective_fidelity_batch(c, paulis, shots, rng)
+        passes = shots if sampled else 1
+        per_pass = sum(len(layer.frame_gates) for layer in c.rotation_layers()) + 2 * len(clifford.gates)
+        assert len(gadgets) == (passes * len(trotter.layers) if sampled else 0)
+        assert len(applied) == passes * per_pass + sum(len(g.gates) for g in gadgets)
+
 
 # ---------------------------------------------------------------------------
 # sampled twirl modes

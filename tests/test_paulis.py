@@ -11,7 +11,9 @@ from twirlkit.paulis import (
     identity,
     parse_pauli,
     pauli_mul,
+    random_bits,
     random_pauli,
+    random_paulis,
     single,
     weight,
 )
@@ -116,6 +118,28 @@ def test_random_pauli_uniform():
     assert len(counts) == 16
     for v in counts.values():
         assert abs(v - draws / 16) < 5 * np.sqrt(draws / 16)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 9, 16, 25, 32, 33, 40, 64, 70, 130])
+@pytest.mark.parametrize("exclude_identity", [False, True])
+def test_random_paulis_reads_the_random_bits_stream(n, exclude_identity):
+    """One bulk draw equals repeated single draws, each an x then a z ``random_bits`` read."""
+    bits, one, bulk = (np.random.default_rng(n) for _ in range(3))
+    count = 60
+    expected = []
+    while len(expected) < count:
+        x, z = random_bits(n, bits), random_bits(n, bits)
+        if not (exclude_identity and x == 0 and z == 0):
+            expected.append(PauliOp(n, x, z))
+    assert [random_pauli(n, exclude_identity, one) for _ in range(count)] == expected
+    assert random_paulis(n, count, exclude_identity, bulk) == expected
+    assert bulk.bit_generator.state == one.bit_generator.state == bits.bit_generator.state
+    assert random_paulis(n, 0, exclude_identity, bulk) == []
+
+
+def test_random_paulis_requires_rng():
+    with pytest.raises(ValueError):
+        random_paulis(3, 4)
 
 
 def test_restrict():

@@ -234,6 +234,8 @@ def test_single_qubit_group_has_24_elements():
 def test_single_qubit_clifford_gates_placement():
     gates = single_qubit_clifford_gates(5, qubit=3)
     assert all(g.qubits == (3,) for g in gates)
+    again = single_qubit_clifford_gates(5, qubit=3)
+    assert isinstance(again, tuple) and again == gates
 
 
 def test_two_qubit_clifford_group_order_by_enumeration():
