@@ -53,7 +53,7 @@ import numpy as np
 
 from .channels import PauliChannel, avg_noise_strength, fidelity_batch, make_single_qubit_pauli_noise, unitarity
 from .paulis import PauliOp, _bits_from_paulis, _get_bit, _mask_words, _popcount_rows, random_paulis
-from .tableau import CliffordOp, GateSpec, _apply_gate_bits, clifford_mapping_z0_to, decompose_gates
+from .tableau import CliffordOp, GateSpec, _apply_gate_bits, _check_qubits, clifford_mapping_z0_to, decompose_gates
 from .twirl import SymmetrySpec, sample_full_twirl_gate, sample_ksparse_twirl_gate, twirl_channel, twirl_channel_ksparse
 
 __all__ = [
@@ -205,9 +205,9 @@ class RotationLayer:
 class CliffordLayer:
     """A noiseless Clifford operation between rotation layers, run as its gate list.
 
-    ``gates`` must generate ``op``; when omitted it is synthesized from ``op``
-    with ``decompose_gates``.  The engine and the dense oracle read only the
-    gates.
+    ``gates`` must generate ``op``; only their qubits are checked against
+    ``op.n``.  When omitted they are synthesized from ``op`` with
+    ``decompose_gates``.  The engine and the dense oracle read only the gates.
     """
 
     op: CliffordOp
@@ -216,6 +216,8 @@ class CliffordLayer:
     def __post_init__(self) -> None:
         if self.gates is None:
             object.__setattr__(self, "gates", tuple(decompose_gates(self.op)))
+        else:
+            _check_qubits(self.op.n, self.gates)
 
     @property
     def n(self) -> int:

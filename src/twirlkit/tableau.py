@@ -14,8 +14,11 @@ Elementary gates act on a Pauli through closed-form bit/phase update rules
 (verified exhaustively against a dense-matrix reference in the test suite),
 and on packed batches of unsigned Paulis through their sign-free bit rules.
 Uniform random sampling uses the exact canonical-form construction over the
-binary symplectic group (transvection-based, rejection-free), plus uniform
-sign bits — every tableau is produced with equal probability.
+binary symplectic group (Koenig & Smolin, arXiv:1406.2170: transvection-based,
+rejection-free), plus uniform sign bits — every tableau is produced with
+equal probability.  Its symplectic vectors are Python ints in interleaved
+order (bit 2q is x_q, bit 2q+1 is z_q), like every other bit vector here; the
+even-bit mask of the symplectic form is sized per call, so any n works.
 
 Tableaus are for sampling, synthesis and checks.  Everywhere else a Clifford
 is kept as its gate list (rotation frames, symmetry frames, Clifford layers,
@@ -50,7 +53,7 @@ class GateSpec:
     def __post_init__(self) -> None:
         kind = self.kind.upper()
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", tuple(map(int, self.qubits)))
         if kind in _ONE_QUBIT_KINDS:
             if len(self.qubits) != 1:
                 raise ValueError(f"{kind} takes one qubit, got {self.qubits}")
@@ -65,6 +68,8 @@ class GateSpec:
                 raise ValueError("MULTICNOT targets must be distinct and exclude the control")
         else:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if min(self.qubits) < 0:  # every kind above holds at least one qubit
+            raise ValueError(f"{kind} qubits must be non-negative, got {self.qubits}")
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "qubits": list(self.qubits)}
@@ -207,37 +212,25 @@ def compose(a: CliffordOp, b: CliffordOp) -> CliffordOp:
 def inverse(c: CliffordOp) -> CliffordOp:
     """Tableau of C†.
 
-    The bit action of C is a binary symplectic matrix M; the inverse bit
-    action is Λ Mᵀ Λ with Λ the symplectic form.  Signs are then fixed by
-    requiring conjugate(C, candidate) == generator exactly.
+    Conjugation preserves the symplectic form, so the bits of C† X_j C read
+    straight off the images: at qubit q its x bit is z_j(C Z_q C†) and its z
+    bit is z_j(C X_q C†).  C† Z_j C reads the x_j bits the same way.  Signs
+    are then fixed by requiring conjugate(C, candidate) == generator exactly.
     """
     n = c.n
-    m = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-    for j in range(n):
-        for half, img in ((0, c.image_x[j]), (1, c.image_z[j])):
-            col = j + half * n
-            for q in range(n):
-                m[q, col] = img.x >> q & 1
-                m[q + n, col] = img.z >> q & 1
-    lam = np.zeros_like(m)
-    lam[:n, n:] = np.eye(n, dtype=np.uint8)
-    lam[n:, :n] = np.eye(n, dtype=np.uint8)
-    minv = (lam @ m.T @ lam) % 2
 
-    def build(col: int, target: PauliOp) -> PauliOp:
-        x = z = 0
-        for q in range(n):
-            x |= int(minv[q, col]) << q
-            z |= int(minv[q + n, col]) << q
+    def preimage(g: PauliOp) -> PauliOp:
+        # x_q = <g, C Z_q C†> and z_q = <g, C X_q C†>: the form is 1 on anticommuting Paulis
+        x = sum((not commutes(g, img)) << q for q, img in enumerate(c.image_z))
+        z = sum((not commutes(g, img)) << q for q, img in enumerate(c.image_x))
         cand = PauliOp(n, x, z)
-        back = conjugate(c, cand)
         # Hermitian images differ from the target by at most a sign
-        return cand.with_phase(target.phase - back.phase)
+        return cand.with_phase(g.phase - conjugate(c, cand).phase)
 
     return CliffordOp(
         n,
-        tuple(build(j, single(n, j, "X")) for j in range(n)),
-        tuple(build(j + n, single(n, j, "Z")) for j in range(n)),
+        tuple(preimage(single(n, j, "X")) for j in range(n)),
+        tuple(preimage(single(n, j, "Z")) for j in range(n)),
     )
 
 
@@ -363,120 +356,87 @@ def single_qubit_clifford_gates(index: int, qubit: int) -> tuple[GateSpec, ...]:
 # uniform n-qubit Clifford sampling (exact, rejection-free)
 # ---------------------------------------------------------------------------
 #
-# Binary symplectic vectors use the interleaved component order
-# (x_0, z_0, x_1, z_1, ...); the inner product pairs components (2i, 2i+1).
-# A transvection Z_h maps v -> v + <v,h> h and is symplectic for every h.
-# The sampler draws the canonical-form data of a uniformly random symplectic
-# matrix level by level: a uniform nonzero image f1 of the first basis vector,
-# mapped there by at most two transvections, plus 2j-1 free bits per level.
+# Binary symplectic vectors are Python ints in the interleaved order
+# (x_0, z_0, x_1, z_1, ...): bit 2q is x_q and bit 2q+1 is z_q.  The form
+# <u,v> = sum_q x_q(u) z_q(v) + z_q(u) x_q(v) mod 2 is the parity of the even
+# bits of (u & v>>1) ^ (u>>1 & v); its odd bits mix neighbouring qubits and
+# are masked off with 0b0101...01.  Any such mask at least as wide as the
+# operands works, so there is no qubit cap: (4**n - 1) // 3 is the n-qubit
+# one, and _sympl_inner sizes its own from the bit length.
+# A transvection Z_h maps v -> v ^ h when <v,h> = 1 (else fixes v) and is
+# symplectic for every h.  The sampler draws the canonical-form data of a
+# uniformly random symplectic matrix level by level: a uniform nonzero image
+# f1 of the first basis vector, mapped there by at most two transvections,
+# plus 2j-1 free bits per level.
 
 
-def _sympl_inner(u: np.ndarray, v: np.ndarray) -> int:
-    t = 0
-    for i in range(0, len(u), 2):
-        t ^= (u[i] & v[i + 1]) ^ (u[i + 1] & v[i])
-    return int(t)
+def _sympl_inner(u: int, v: int) -> int:
+    t = u & v >> 1 ^ u >> 1 & v  # bit 2q: x_q(u) z_q(v) ^ z_q(u) x_q(v)
+    width = t.bit_length()
+    return (t & (1 << width + (width & 1)) // 3).bit_count() & 1
 
 
-def _transvect(h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if _sympl_inner(v, h):
-        return (v + h) % 2
-    return v.copy()
+def _transvect(h: int, v: int) -> int:
+    return v ^ h if _sympl_inner(v, h) else v
 
 
-def _find_transvections(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _low_partner(v: int) -> int:
+    """A vector with form 1 against v (nonzero), on v's lowest nonzero qubit only."""
+    i = (v & -v).bit_length() - 1 & ~1
+    return (0b01 if (v >> i & 3) == 0b10 else 0b10) << i
+
+
+def _find_transvections(x: int, y: int) -> tuple[int, int]:
     """Two vectors (h_first, h_second) with Z_{h_second} Z_{h_first} x = y."""
-    dim = len(x)
-    zero = np.zeros(dim, dtype=np.uint8)
-    if np.array_equal(x, y):
-        return zero, zero
+    if x == y:
+        return 0, 0
     if _sympl_inner(x, y):
-        return (x + y) % 2, zero
-    z = np.zeros(dim, dtype=np.uint8)
-    # try a pair position where both x and y are nonzero
-    for i in range(0, dim, 2):
-        if (x[i] or x[i + 1]) and (y[i] or y[i + 1]):
-            z[i] = (x[i] + y[i]) % 2
-            z[i + 1] = (x[i + 1] + y[i + 1]) % 2
-            if z[i] == 0 and z[i + 1] == 0:
-                z[i + 1] = 1
-                if x[i] != x[i + 1]:
-                    z[i] = 1
-            return (x + z) % 2, (z + y) % 2
-    # otherwise build z from one x-only pair and one y-only pair
-    for i in range(0, dim, 2):
-        if (x[i] or x[i + 1]) and not (y[i] or y[i + 1]):
-            if x[i] == x[i + 1]:
-                z[i + 1] = x[i]
-            else:
-                z[i + 1] = x[i]
-                z[i] = x[i + 1]
-            break
-    for i in range(0, dim, 2):
-        if (y[i] or y[i + 1]) and not (x[i] or x[i + 1]):
-            if y[i] == y[i + 1]:
-                z[i + 1] = y[i]
-            else:
-                z[i + 1] = y[i]
-                z[i] = y[i + 1]
-            break
-    return (x + z) % 2, (z + y) % 2
+        return x ^ y, 0
+    # a qubit where x and y are both nonzero: z there has form 1 with both
+    for i in range(0, min(x, y).bit_length(), 2):
+        xp, yp = x >> i & 3, y >> i & 3
+        if xp and yp:
+            z = (xp ^ yp or (0b10 if xp == 0b11 else 0b11)) << i
+            return x ^ z, z ^ y
+    # otherwise x and y sit on disjoint qubits: z pairs with each on its lowest one
+    z = _low_partner(x) | _low_partner(y)
+    return x ^ z, z ^ y
 
 
-def _random_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform 2n x 2n binary symplectic matrix, rows = images of basis vectors."""
+def _random_symplectic(n: int, rng: np.random.Generator) -> list[int]:
+    """Uniform 2n x 2n binary symplectic matrix as 2n int rows (images of the basis vectors)."""
     dim = 2 * n
-    # uniform nonzero first image
-    while True:
-        k = random_bits(dim, rng)
-        if k:
-            break
-    f1 = np.array([(k >> b) & 1 for b in range(dim)], dtype=np.uint8)
-    e1 = np.zeros(dim, dtype=np.uint8)
-    e1[0] = 1
-    t_first, t_second = _find_transvections(e1, f1)
+    f1 = 0
+    while not f1:  # uniform nonzero first image
+        f1 = random_bits(dim, rng)
+    t_first, t_second = _find_transvections(1, f1)
     bits = random_bits(dim - 1, rng)
-    eprime = e1.copy()
-    for j in range(2, dim):
-        eprime[j] = (bits >> (j - 1)) & 1
+    eprime = 1 | (bits << 1 & ~0b11)
     h0 = _transvect(t_second, _transvect(t_first, eprime))
     if bits & 1:
-        f1 = np.zeros(dim, dtype=np.uint8)
-    if n == 1:
-        g = np.eye(2, dtype=np.uint8)
-    else:
-        g = np.zeros((dim, dim), dtype=np.uint8)
-        g[0, 0] = 1
-        g[1, 1] = 1
-        g[2:, 2:] = _random_symplectic(n - 1, rng)
-    for j in range(dim):
-        row = _transvect(t_first, g[j])
-        row = _transvect(t_second, row)
-        row = _transvect(h0, row)
-        row = _transvect(f1, row)
-        g[j] = row
-    return g
+        f1 = 0
+    rows = [0b01, 0b10]
+    if n > 1:
+        rows += [row << 2 for row in _random_symplectic(n - 1, rng)]
+    return [_transvect(f1, _transvect(h0, _transvect(t_second, _transvect(t_first, row)))) for row in rows]
 
 
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordOp:
     """Uniform over all n-qubit Clifford tableaus (symplectic part x signs)."""
-    m = _random_symplectic(n, rng)
+    rows = _random_symplectic(n, rng)
     signs = random_bits(2 * n, rng)
 
-    def row_to_pauli(row: np.ndarray, sign_bit: int) -> PauliOp:
-        x = z = 0
-        for q in range(n):
-            if row[2 * q]:
-                x |= 1 << q
-            if row[2 * q + 1]:
-                z |= 1 << q
-        return PauliOp(n, x, z, 2 * sign_bit)
+    def row_to_pauli(j: int) -> PauliOp:
+        row = rows[j]
+        x = sum((row >> 2 * q & 1) << q for q in range(n))
+        z = sum((row >> 2 * q + 1 & 1) << q for q in range(n))
+        return PauliOp(n, x, z, 2 * (signs >> j & 1))
 
-    image_x = tuple(row_to_pauli(m[2 * i], signs >> (2 * i) & 1) for i in range(n))
-    image_z = tuple(row_to_pauli(m[2 * i + 1], signs >> (2 * i + 1) & 1) for i in range(n))
-    out = CliffordOp(n, image_x, image_z)
-    assert out.is_valid()
-    return out
+    return CliffordOp(
+        n,
+        tuple(row_to_pauli(2 * i) for i in range(n)),
+        tuple(row_to_pauli(2 * i + 1) for i in range(n)),
+    )
 
 
 # ---------------------------------------------------------------------------

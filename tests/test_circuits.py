@@ -190,6 +190,13 @@ class TestLayerValidation:
         with pytest.raises(ValueError):
             LogicalCircuit(3, (NoiseLayer(make_white_noise(2, 0.1)),))
 
+    def test_clifford_layer_gates_must_stay_in_register(self):
+        # The engine runs only the gates: CNOT(0, 5) on 3 qubits would move
+        # XII's fidelity after a rotation about ZZI and index past XIX's words.
+        gates = (gate("CNOT", 0, 1), gate("CNOT", 0, 5))
+        with pytest.raises(ValueError, match="qubit"):
+            CliffordLayer(from_gates(3, gates[:1]), gates)
+
 
 # ---------------------------------------------------------------------------
 # the deterministic walk

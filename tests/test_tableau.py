@@ -10,7 +10,7 @@ import pytest
 
 import reference as ref
 from helpers import gates_to_dense, pauli_dense, pauli_label
-from twirlkit.paulis import PauliOp, identity, parse_pauli, random_pauli, single
+from twirlkit.paulis import PauliOp, format_pauli, identity, parse_pauli, random_pauli, single
 from twirlkit.tableau import (
     CliffordOp,
     GateSpec,
@@ -94,6 +94,13 @@ def test_gate_spec_validation():
     with pytest.raises(ValueError):
         GateSpec("FOO", (0,))
     assert GateSpec("h", (3,)).kind == "H"
+
+
+def test_gate_spec_rejects_negative_qubits():
+    # -1 would shift into bit 63 of a packed word, outside the register
+    for kind, qubits in (("H", (-1,)), ("CNOT", (0, -1)), ("MULTICNOT", (0, 1, -2))):
+        with pytest.raises(ValueError, match="non-negative"):
+            GateSpec(kind, qubits)
 
 
 def test_gate_spec_serialization_roundtrip():
@@ -291,8 +298,36 @@ def test_random_clifford_n1_covers_group_uniformly():
 
 def test_random_clifford_validity_large_n():
     rng = np.random.default_rng(12)
-    tab = random_clifford(12, rng)
-    assert tab.is_valid()
+    for n, draws in [(n, 24) for n in range(1, 9)] + [(12, 6), (33, 2)]:
+        for _ in range(draws):
+            assert random_clifford(n, rng).is_valid()
+
+
+# random_clifford(n, default_rng(seed)): images as text, then the generator's
+# next integers(2**31).  The random-Clifford bias check, the distance scans'
+# measurement bases and the dense-distance benchmark all read this stream, so
+# a change to it must show here and be declared.
+FROZEN_CLIFFORD_DRAWS = [
+    (1, 5, ["-Z"], ["Y"], 1006851808),
+    (2, 6, ["-ZY", "-IY"], ["-YI", "-YZ"], 792565862),
+    (4, 7, ["-YZIZ", "-IXXX", "YIZZ", "-YXXX"], ["YIXX", "ZIZX", "IXIX", "XZIY"], 644602188),
+    (
+        7,
+        8,
+        ["-IXYYYIZ", "ZZZYIXZ", "XIXZZXY", "YZIYXZI", "ZIYXXII", "IXYXXZI", "-XIZZZYY"],
+        ["ZXIIXZZ", "-YZIYXIZ", "-IYIZZYY", "IYZZXXI", "YYXYXXX", "-ZXZZXYY", "-ZZYZZYX"],
+        800472174,
+    ),
+]
+
+
+@pytest.mark.parametrize("n, seed, image_x, image_z, next_draw", FROZEN_CLIFFORD_DRAWS)
+def test_random_clifford_stream_is_frozen(n, seed, image_x, image_z, next_draw):
+    rng = np.random.default_rng(seed)
+    tab = random_clifford(n, rng)
+    assert [format_pauli(p) for p in tab.image_x] == image_x
+    assert [format_pauli(p) for p in tab.image_z] == image_z
+    assert int(rng.integers(2**31)) == next_draw
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +339,7 @@ def test_transvection_is_symplectic():
     rng = np.random.default_rng(3)
     for _ in range(50):
         dim = 6
-        h = rng.integers(0, 2, dim).astype(np.uint8)
-        u = rng.integers(0, 2, dim).astype(np.uint8)
-        v = rng.integers(0, 2, dim).astype(np.uint8)
+        h, u, v = (int(b) for b in rng.integers(0, 1 << dim, 3))
         assert _sympl_inner(_transvect(h, u), _transvect(h, v)) == _sympl_inner(u, v)
 
 
@@ -314,13 +347,12 @@ def test_find_transvections_maps_x_to_y():
     rng = np.random.default_rng(14)
     for _ in range(200):
         dim = 8
-        x = rng.integers(0, 2, dim).astype(np.uint8)
-        y = rng.integers(0, 2, dim).astype(np.uint8)
-        if not x.any() or not y.any():
+        x, y = (int(b) for b in rng.integers(0, 1 << dim, 2))
+        if not x or not y:
             continue
         t_first, t_second = _find_transvections(x, y)
         got = _transvect(t_second, _transvect(t_first, x))
-        assert np.array_equal(got, y)
+        assert got == y
 
 
 def test_random_symplectic_preserves_form():
