@@ -77,10 +77,6 @@ class PointFactor:
     def cardinality(self) -> int:
         return 1
 
-    @property
-    def can_be_identity(self) -> bool:
-        return self.pauli.is_identity
-
     def mean_chi_local(self, q: PauliOp) -> Fraction:
         return Fraction(1) if commutes(self.pauli, q) else Fraction(-1)
 
@@ -116,10 +112,6 @@ class FullGroupFactor:
     def cardinality(self) -> int:
         return 4 ** len(self.register)
 
-    @property
-    def can_be_identity(self) -> bool:
-        return True
-
     def mean_chi_local(self, q: PauliOp) -> Fraction:
         return Fraction(1) if q.is_identity else Fraction(0)
 
@@ -154,10 +146,6 @@ class FullGroupMinusIdentityFactor:
     @property
     def cardinality(self) -> int:
         return 4 ** len(self.register) - 1
-
-    @property
-    def can_be_identity(self) -> bool:
-        return False
 
     def mean_chi_local(self, q: PauliOp) -> Fraction:
         if q.is_identity:
@@ -198,10 +186,6 @@ class DiagonalIZFactor:
     def cardinality(self) -> int:
         return 2 ** len(self.register)
 
-    @property
-    def can_be_identity(self) -> bool:
-        return True
-
     def mean_chi_local(self, q: PauliOp) -> Fraction:
         # each qubit where q has an X or Y letter averages (+1 - 1)/2 = 0
         return Fraction(1) if q.x == 0 else Fraction(0)
@@ -239,10 +223,6 @@ class XYSetFactor:
     @property
     def cardinality(self) -> int:
         return 2
-
-    @property
-    def can_be_identity(self) -> bool:
-        return False
 
     def mean_chi_local(self, q: PauliOp) -> Fraction:
         letter = q.letter_at(0)
@@ -286,10 +266,6 @@ class WeightAtMostFactor:
     def cardinality(self) -> int:
         m = len(self.register)
         return sum(3**j * math.comb(m, j) for j in range(self.max_weight + 1))
-
-    @property
-    def can_be_identity(self) -> bool:
-        return True
 
     def mean_chi_local(self, q: PauliOp) -> Fraction:
         """Average commutation sign against all members, in closed form.
@@ -442,7 +418,7 @@ class PauliEnsemble:
 
     @property
     def contains_identity(self) -> bool:
-        return all(f.can_be_identity for f in self.factors)
+        return self.contains(identity(self.n))
 
     def mean_chi_exact(self, p: PauliOp) -> Fraction:
         if p.n != self.n:

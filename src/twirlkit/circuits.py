@@ -384,16 +384,11 @@ def _fermi_hubbard_terms(lx: int, ly: int, t_hop: float, u_int: float) -> list[t
     sites = lx * ly
     n = 2 * sites
 
-    def snake(x: int, y: int) -> int:
+    def snake(s: int) -> int:
+        y, x = divmod(s, lx)
         return y * lx + (x if y % 2 == 0 else lx - 1 - x)
 
-    site_bonds = []
-    for y in range(ly):
-        for x in range(lx - 1):
-            site_bonds.append((snake(x, y), snake(x + 1, y)))
-    for y in range(ly - 1):
-        for x in range(lx):
-            site_bonds.append((snake(x, y), snake(x, y + 1)))
+    site_bonds = [(snake(a), snake(b)) for a, b in _grid_bonds(lx, ly)]
 
     hops = [(2 * a + spin, 2 * b + spin) for a, b in site_bonds for spin in (0, 1)]
     terms: list[tuple[PauliOp, float]] = []

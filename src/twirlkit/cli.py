@@ -419,11 +419,7 @@ def _sampler_mass_map(ch: PauliChannel, dist) -> dict[PauliOp, Fraction]:
 
 def cmd_twirl_verify(config: dict, sha: str) -> int:
     n, mode, k = config["n"], config["mode"], config.get("k")
-    if mode == "ksparse":
-        if k is None or not 1 <= k <= n:
-            raise ConfigError(f"mode ksparse needs 1 <= k <= {n}")
-    elif k is not None:
-        raise ConfigError("mode full does not take k")
+    _check_mode_k(mode, k, n)
     noise = config.get("noise") or {"px": 1.0}
     rates = (noise.get("px", 0.0), noise.get("py", 0.0), noise.get("pz", 0.0))
     base = make_single_qubit_pauli_noise(n, 0, *rates)

@@ -3,9 +3,11 @@
 Exact state evolution for every construct the fast engine handles
 symbolically: unitaries, Pauli-axis rotations at arbitrary angles, structured
 Pauli channels, and full logical circuits including sampled twirl gadgets.
-Channel application exploits ensemble structure (register depolarization,
-dephasing, short member sums) instead of expanding every error, so twirled
-channels stay tractable up to the dense cap.
+Every Pauli channel acts through one single-qubit block rule,
+``_pauli_mix_qubit``: structured factors (register depolarization,
+dephasing, the XY pair) apply one fixed mix per qubit, and points and short
+member sums conjugate one letter at a time, so twirled channels stay
+tractable up to the dense cap without expanding every error.
 
 The cap defaults to 10 qubits and can be overridden with the
 ``TWIRLKIT_DENSE_CAP`` environment variable.
@@ -29,7 +31,6 @@ from .channels import (
     PointFactor,
     WeightAtMostFactor,
     XYSetFactor,
-    _place,
     make_single_qubit_pauli_noise,
 )
 from .circuits import (
@@ -165,43 +166,43 @@ def pauli_matrix(p: PauliOp) -> np.ndarray:
     return mat
 
 
-def _conj_by_pauli(mat: np.ndarray, x: int, z: int, n: int) -> np.ndarray:
-    """P·mat·P† for the unsigned Pauli with bit masks (x, z); O(4^n)."""
-    dim = 2**n
-    xm = _index_mask(x, n)
-    zm = _index_mask(z, n)
-    idx = np.arange(dim)
-    perm = idx ^ xm
-    signs = 1 - 2 * (np.bitwise_count(idx & zm) & 1).astype(np.float64)
-    out = mat[np.ix_(perm, perm)] * np.outer(signs, signs)
-    return out
+def _pauli_mix_qubit(mat: np.ndarray, n: int, q: int, probs: tuple[float, float, float, float]) -> np.ndarray:
+    """Σ_σ p_σ·σ·mat·σ over σ = I, X, Y, Z on qubit q, for probs = (p_I, p_X, p_Y, p_Z).
+
+    Seen as 2×2 blocks mat_ab of qubit q, X swaps both indices, Z signs a
+    block by (−1)^(a+b) and Y does both, so every block mixes with its
+    mirror image: mat_ab → (p_I ± p_Z)·mat_ab + (p_X ± p_Y)·mat_(1−a)(1−b),
+    with + on the diagonal blocks and − off it.
+    """
+    p_i, p_x, p_y, p_z = probs
+    keep = np.array([[p_i + p_z, p_i - p_z], [p_i - p_z, p_i + p_z]]).reshape(1, 2, 1, 1, 2, 1)
+    swap = np.array([[p_x + p_y, p_x - p_y], [p_x - p_y, p_x + p_y]]).reshape(1, 2, 1, 1, 2, 1)
+    v = mat.reshape(2**q, 2, 2 ** (n - 1 - q), 2**q, 2, 2 ** (n - 1 - q))
+    return (keep * v + swap * v[:, ::-1, :, :, ::-1, :]).reshape(mat.shape)
 
 
-def _depolarize_qubit(mat: np.ndarray, n: int, q: int, rate: float = 1.0) -> np.ndarray:
-    """(1−rate)·mat + rate/3·(X mat X + Y mat Y + Z mat Z) on one qubit."""
-    b = 1 << q
-    mix = (
-        _conj_by_pauli(mat, b, 0, n)
-        + _conj_by_pauli(mat, b, b, n)
-        + _conj_by_pauli(mat, 0, b, n)
-    )
-    return (1 - rate) * mat + (rate / 3) * mix
+_LETTER_MIX = {"X": (0, 1, 0, 0), "Y": (0, 0, 1, 0), "Z": (0, 0, 0, 1)}
+# the per-qubit mix whose product over a register averages the factor's members
+_REGISTER_MIX = {
+    FullGroupFactor: (0.25, 0.25, 0.25, 0.25),
+    DiagonalIZFactor: (0.5, 0, 0, 0.5),
+    XYSetFactor: (0, 0.5, 0.5, 0),
+}
 
 
-def _fully_depolarize_register(mat: np.ndarray, n: int, register: tuple[int, ...]) -> np.ndarray:
-    """Replace the register's marginal with the maximally mixed state."""
-    out = mat
-    for q in register:
-        out = 0.25 * (out + _depolarize_qubit(out, n, q, rate=1.0) * 3)
-    return out
+def _conj_by_pauli(mat: np.ndarray, n: int, register: tuple[int, ...], local: PauliOp) -> np.ndarray:
+    """P·mat·P for an unsigned Pauli on the register, one letter at a time."""
+    for i, q in enumerate(register):
+        letter = local.letter_at(i)
+        if letter != "I":
+            mat = _pauli_mix_qubit(mat, n, q, _LETTER_MIX[letter])
+    return mat
 
 
-def _dephase_register(mat: np.ndarray, n: int, register: tuple[int, ...]) -> np.ndarray:
-    out = mat
-    for q in register:
-        b = 1 << q
-        out = 0.5 * (out + _conj_by_pauli(out, 0, b, n))
-    return out
+def _mix_qubits(mat: np.ndarray, n: int, qubits, probs) -> np.ndarray:
+    for q in qubits:
+        mat = _pauli_mix_qubit(mat, n, q, probs)
+    return mat
 
 
 @lru_cache(maxsize=256)
@@ -338,29 +339,19 @@ def _apply_ensemble_average(mat: np.ndarray, ensemble: PauliEnsemble) -> np.ndar
     out = mat
     for factor in ensemble.factors:
         if isinstance(factor, PointFactor):
-            x, z = _place(factor.register, factor.pauli)
-            out = _conj_by_pauli(out, x, z, n)
-        elif isinstance(factor, FullGroupFactor):
-            out = _fully_depolarize_register(out, n, factor.register)
+            out = _conj_by_pauli(out, n, factor.register, factor.pauli)
+        elif type(factor) in _REGISTER_MIX:
+            out = _mix_qubits(out, n, factor.register, _REGISTER_MIX[type(factor)])
         elif isinstance(factor, FullGroupMinusIdentityFactor):
             m = len(factor.register)
-            dep = _fully_depolarize_register(out, n, factor.register)
+            dep = _mix_qubits(out, n, factor.register, _REGISTER_MIX[FullGroupFactor])
             out = (4**m * dep - out) / (4**m - 1)
-        elif isinstance(factor, DiagonalIZFactor):
-            # uniform over I/Z strings averages to half-weight dephasing,
-            # i.e. full dephasing on the register
-            out = _dephase_register(out, n, factor.register)
-        elif isinstance(factor, XYSetFactor):
-            q = factor.register[0]
-            b = 1 << q
-            out = 0.5 * (_conj_by_pauli(out, b, 0, n) + _conj_by_pauli(out, b, b, n))
         elif isinstance(factor, WeightAtMostFactor):
             if factor.cardinality > _MEMBER_SUM_CAP:
                 raise ValueError("weight-capped factor too large for a dense member sum")
             acc = np.zeros_like(out)
             for member in factor.members_local():
-                x, z = _place(factor.register, member)
-                acc += _conj_by_pauli(out, x, z, n)
+                acc += _conj_by_pauli(out, n, factor.register, member)
             out = acc / factor.cardinality
         else:
             raise ValueError(f"unknown ensemble factor {type(factor).__name__}")
@@ -424,10 +415,9 @@ def _noisy_rotation_raw(
     """One forward pass of a noisy rotation layer on a raw matrix."""
     n = layer.n
     u_v = clifford_unitary(n, layer.frame_gates)
+    rot = _rotation_unitary(n, 0, 1, 0, layer.angle)
     out = u_v @ mat @ u_v.conj().T
-    sampled = layer.twirl_mode in ("full", "ksparse")
-    gadget = None
-    if sampled:
+    if layer.twirl_mode in ("full", "ksparse"):
         if rng is None:
             raise ValueError("sampled twirl modes need an rng")
         if layer.twirl_mode == "full":
@@ -435,21 +425,14 @@ def _noisy_rotation_raw(
         else:
             gadget = sample_ksparse_twirl_gate(n, layer.k, rng)
         u_d = clifford_unitary(n, tuple(gadget.gates))
-        out = u_d.conj().T @ out @ u_d
-        for q in gadget.support:
-            if layer.gadget_noise_rate > 0:
-                out = _depolarize_qubit(out, n, q, layer.gadget_noise_rate)
-    rot = _rotation_unitary(n, 0, 1, 0, layer.angle)
-    out = rot @ out @ rot.conj().T
-    if sampled:
-        out = _apply_channel_raw(out, make_single_qubit_pauli_noise(n, 0, *layer.rates))
-        u_d = clifford_unitary(n, tuple(gadget.gates))
-        out = u_d @ out @ u_d.conj().T
-        for q in gadget.support:
-            if layer.gadget_noise_rate > 0:
-                out = _depolarize_qubit(out, n, q, layer.gadget_noise_rate)
+        rate = layer.gadget_noise_rate
+        noisy = gadget.support if rate > 0 else ()
+        mix = (1 - rate, rate / 3, rate / 3, rate / 3)
+        out = _mix_qubits(u_d.conj().T @ out @ u_d, n, noisy, mix)
+        out = _apply_channel_raw(rot @ out @ rot.conj().T, make_single_qubit_pauli_noise(n, 0, *layer.rates))
+        out = _mix_qubits(u_d @ out @ u_d.conj().T, n, noisy, mix)
     else:
-        out = _apply_channel_raw(out, layer_noise_channel(layer))
+        out = _apply_channel_raw(rot @ out @ rot.conj().T, layer_noise_channel(layer))
     return u_v.conj().T @ out @ u_v
 
 

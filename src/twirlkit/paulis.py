@@ -138,9 +138,10 @@ def weight(p: PauliOp) -> int:
 
 
 def random_bits(n: int, rng: np.random.Generator) -> int:
-    """Uniform n-bit integer from a numpy Generator (any n)."""
-    nbytes = (n + 7) // 8
-    value = int.from_bytes(rng.bytes(nbytes), "little")
+    """Uniform n-bit integer (any n): the value and generator state of ``rng.bytes(⌈n/8⌉)``."""
+    value = 0
+    for i in range(max(1, (n + 31) // 32)):  # the uint32 words rng.bytes reads, lowest first
+        value |= int(rng.integers(0, 2**32, dtype=np.uint32)) << (32 * i)
     return value & ((1 << n) - 1)
 
 

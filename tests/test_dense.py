@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import reference as ref
 from helpers import gate_to_dense, gates_to_dense, pauli_dense
 from twirlkit.channels import (
     DiagonalIZFactor,
@@ -38,6 +39,7 @@ from twirlkit.circuits import (
 )
 from twirlkit.dense import (
     DensityMatrix,
+    _pauli_mix_qubit,
     apply_channel,
     apply_rotation,
     apply_unitary,
@@ -238,6 +240,30 @@ class TestApplyChannel:
         got = apply_channel(rho, ch)
         want = expanded_channel_action(rho.entries, ch)
         assert np.abs(got.entries - want).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            (1.0, 0.0, 0.0, 0.0),
+            (0.0, 1.0, 0.0, 0.0),
+            (0.0, 0.0, 1.0, 0.0),
+            (0.0, 0.0, 0.0, 1.0),
+            (0.25, 0.25, 0.25, 0.25),
+            (1 - 0.07, 0.07 / 3, 0.07 / 3, 0.07 / 3),
+            (0.4, 0.1, 0.2, 0.3),
+        ],
+    )
+    def test_pauli_mix_qubit_matches_explicit_sum(self, probs):
+        """Σ p_σ·σ_q·M·σ_q† with σ_q built from the reference matrices, for a non-Hermitian M."""
+        n = 3
+        rng = np.random.default_rng(12)
+        m = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        for q in range(n):
+            want = np.zeros_like(m)
+            for letter, p in zip("IXYZ", probs):
+                sigma = ref.embed(ref.LETTERS[letter], [q], n)
+                want += p * (sigma @ m @ sigma.conj().T)
+            assert np.abs(_pauli_mix_qubit(m, n, q, probs) - want).max() < 1e-13
 
     def test_white_noise_commutes_with_unitaries(self):
         rng = np.random.default_rng(11)

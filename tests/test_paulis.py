@@ -137,6 +137,16 @@ def test_random_paulis_reads_the_random_bits_stream(n, exclude_identity):
     assert random_paulis(n, 0, exclude_identity, bulk) == []
 
 
+@pytest.mark.parametrize("n", [0, 1, 8, 31, 32, 33, 64, 65, 130])
+def test_random_bits_matches_the_bytes_stream(n):
+    """Each draw equals the low n bits of rng.bytes(⌈n/8⌉) and leaves the same generator state."""
+    ours, theirs = np.random.default_rng(1000 + n), np.random.default_rng(1000 + n)
+    for _ in range(5):
+        want = int.from_bytes(theirs.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
+        assert random_bits(n, ours) == want
+    assert ours.integers(2**62) == theirs.integers(2**62)
+
+
 def test_random_paulis_requires_rng():
     with pytest.raises(ValueError):
         random_paulis(3, 4)
