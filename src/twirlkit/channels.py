@@ -8,8 +8,9 @@ bounded weight), optionally conjugated member-by-member through a Clifford
 frame.  Cardinalities are exact big integers and every statistical query
 (mean commutation sign, fidelities, distances, unitarity) has a closed form
 in those cardinalities, so channels stay tractable at hundreds of qubits.
-The same closed forms are evaluated on packed batches (``fidelity_batch``),
-which is how the circuit engine reads every layer's Pauli fidelities.
+The same closed forms are evaluated on column batches (``fidelity_batch``:
+xs[q] and zs[q] hold one bit per row, as in ``tableau``), which is how the
+circuit engine reads every layer's Pauli fidelities.
 
 Members are unsigned (Hermitian, sign +1) Paulis: conjugation `E rho E†`
 is insensitive to the sign of E.
@@ -24,9 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .paulis import PauliOp, commutes, format_pauli, identity, parse_pauli, random_bits, random_pauli, weight
-from .paulis import _get_bit, _mask_words, _num_words, _packed, _popcount_rows
-from .tableau import GateSpec, _apply_gate_bits, _check_qubits, apply_gates, invert_gates
+from .paulis import PauliOp, _unpack, _weight, commutes, identity, random_bits, random_pauli, weight
+from .tableau import GateSpec, _apply_gate, _check_qubits, apply_gates, invert_gates
 
 _PROB_TOL = 1e-12
 _ENUM_CAP = 1 << 16  # largest ensemble we will materialize when merging overlaps
@@ -48,14 +48,18 @@ def _place(register: tuple[int, ...], local: PauliOp) -> tuple[int, int]:
     return x, z
 
 
-def _register_weight(xb: np.ndarray, zb: np.ndarray, register: tuple[int, ...]) -> np.ndarray:
-    """Per packed row, the number of register qubits it acts on."""
-    return _popcount_rows((xb | zb) & _mask_words(register, xb.shape[1]))
+def _acts_on(rows: int, register: tuple[int, ...], *columns) -> np.ndarray:
+    """Per row, 1 where one of the column lists has a bit on a register qubit, else 0."""
+    support = 0
+    for cols in columns:
+        for q in register:
+            support |= cols[q]
+    return _unpack([support], rows)[0]
 
 
 # ---------------------------------------------------------------------------
 # primitive factors: ``mean_chi_local`` is the exact mean commutation sign on
-# the register, ``chi_batch`` the same closed form on packed rows, in floats.
+# the register, ``chi_batch`` the same closed form on column rows, in floats.
 # ---------------------------------------------------------------------------
 
 
@@ -80,11 +84,14 @@ class PointFactor:
     def mean_chi_local(self, q: PauliOp) -> Fraction:
         return Fraction(1) if commutes(self.pauli, q) else Fraction(-1)
 
-    def chi_batch(self, xb: np.ndarray, zb: np.ndarray) -> np.ndarray:
-        x, z = _place(self.register, self.pauli)
-        words = xb.shape[1]
-        odd = _popcount_rows((xb & _packed(z, words)) ^ (zb & _packed(x, words))) & 1
-        return 1.0 - 2.0 * odd
+    def chi_batch(self, xs, zs, rows: int) -> np.ndarray:
+        odd = 0  # the symplectic form, one bit per row
+        for i, q in enumerate(self.register):
+            if self.pauli.z >> i & 1:
+                odd ^= xs[q]
+            if self.pauli.x >> i & 1:
+                odd ^= zs[q]
+        return 1.0 - 2.0 * _unpack([odd], rows)[0]
 
     def contains_local(self, q: PauliOp) -> bool:
         return q == self.pauli
@@ -94,9 +101,6 @@ class PointFactor:
 
     def members_local(self):
         yield self.pauli
-
-    def to_dict(self) -> dict:
-        return {"kind": "point", "register": list(self.register), "pauli": format_pauli(self.pauli)}
 
 
 @dataclass(frozen=True)
@@ -115,8 +119,8 @@ class FullGroupFactor:
     def mean_chi_local(self, q: PauliOp) -> Fraction:
         return Fraction(1) if q.is_identity else Fraction(0)
 
-    def chi_batch(self, xb: np.ndarray, zb: np.ndarray) -> np.ndarray:
-        return np.where(_register_weight(xb, zb, self.register) == 0, 1.0, 0.0)
+    def chi_batch(self, xs, zs, rows: int) -> np.ndarray:
+        return 1.0 - _acts_on(rows, self.register, xs, zs)
 
     def contains_local(self, q: PauliOp) -> bool:
         return True
@@ -129,9 +133,6 @@ class FullGroupFactor:
         for x in range(1 << m):
             for z in range(1 << m):
                 yield PauliOp(m, x, z)
-
-    def to_dict(self) -> dict:
-        return {"kind": "full_group", "register": list(self.register)}
 
 
 @dataclass(frozen=True)
@@ -153,8 +154,8 @@ class FullGroupMinusIdentityFactor:
         # the full group averages to zero; removing the identity leaves -1
         return Fraction(-1, self.cardinality)
 
-    def chi_batch(self, xb: np.ndarray, zb: np.ndarray) -> np.ndarray:
-        return np.where(_register_weight(xb, zb, self.register) == 0, 1.0, -1 / self.cardinality)
+    def chi_batch(self, xs, zs, rows: int) -> np.ndarray:
+        return np.where(_acts_on(rows, self.register, xs, zs), -1 / self.cardinality, 1.0)
 
     def contains_local(self, q: PauliOp) -> bool:
         return not q.is_identity
@@ -168,9 +169,6 @@ class FullGroupMinusIdentityFactor:
             for z in range(1 << m):
                 if x or z:
                     yield PauliOp(m, x, z)
-
-    def to_dict(self) -> dict:
-        return {"kind": "full_group_minus_identity", "register": list(self.register)}
 
 
 @dataclass(frozen=True)
@@ -190,8 +188,8 @@ class DiagonalIZFactor:
         # each qubit where q has an X or Y letter averages (+1 - 1)/2 = 0
         return Fraction(1) if q.x == 0 else Fraction(0)
 
-    def chi_batch(self, xb: np.ndarray, zb: np.ndarray) -> np.ndarray:
-        return np.where((xb & _mask_words(self.register, xb.shape[1])).any(axis=1), 0.0, 1.0)
+    def chi_batch(self, xs, zs, rows: int) -> np.ndarray:
+        return 1.0 - _acts_on(rows, self.register, xs)
 
     def contains_local(self, q: PauliOp) -> bool:
         return q.x == 0
@@ -204,9 +202,6 @@ class DiagonalIZFactor:
         m = len(self.register)
         for z in range(1 << m):
             yield PauliOp(m, 0, z)
-
-    def to_dict(self) -> dict:
-        return {"kind": "diagonal_iz", "register": list(self.register)}
 
 
 @dataclass(frozen=True)
@@ -232,9 +227,10 @@ class XYSetFactor:
             return Fraction(-1)
         return Fraction(0)  # X or Y: one partner commutes, the other does not
 
-    def chi_batch(self, xb: np.ndarray, zb: np.ndarray) -> np.ndarray:
+    def chi_batch(self, xs, zs, rows: int) -> np.ndarray:
         q = self.register[0]
-        return (1.0 - _get_bit(xb, q)) * (1.0 - 2.0 * _get_bit(zb, q))
+        x, z = _unpack([xs[q], zs[q]], rows)
+        return (1.0 - x) * (1.0 - 2.0 * z)
 
     def contains_local(self, q: PauliOp) -> bool:
         return q.letter_at(0) in ("X", "Y")
@@ -245,9 +241,6 @@ class XYSetFactor:
     def members_local(self):
         yield PauliOp(1, 1, 0)
         yield PauliOp(1, 1, 1)
-
-    def to_dict(self) -> dict:
-        return {"kind": "xy_pair", "register": list(self.register)}
 
 
 @dataclass(frozen=True)
@@ -287,8 +280,8 @@ class WeightAtMostFactor:
         probes = [PauliOp(len(self.register), (1 << t) - 1, 0) for t in range(len(self.register) + 1)]
         return np.array([float(self.mean_chi_local(q)) for q in probes])
 
-    def chi_batch(self, xb: np.ndarray, zb: np.ndarray) -> np.ndarray:
-        return self._chi_by_weight[_register_weight(xb, zb, self.register)]
+    def chi_batch(self, xs, zs, rows: int) -> np.ndarray:
+        return self._chi_by_weight[_weight(xs, zs, self.register, rows)]
 
     def contains_local(self, q: PauliOp) -> bool:
         return weight(q) <= self.max_weight
@@ -329,9 +322,6 @@ class WeightAtMostFactor:
                             z |= 1 << q
                     yield PauliOp(m, x, z)
 
-    def to_dict(self) -> dict:
-        return {"kind": "weight_at_most", "register": list(self.register), "max_weight": self.max_weight}
-
 
 Factor = (
     PointFactor
@@ -342,15 +332,6 @@ Factor = (
     | WeightAtMostFactor
 )
 
-_FACTOR_KINDS = {
-    "point": PointFactor,
-    "full_group": FullGroupFactor,
-    "full_group_minus_identity": FullGroupMinusIdentityFactor,
-    "diagonal_iz": DiagonalIZFactor,
-    "xy_pair": XYSetFactor,
-    "weight_at_most": WeightAtMostFactor,
-}
-
 
 def _random_below(bound: int, rng: np.random.Generator) -> int:
     """Uniform integer in [0, bound) for arbitrarily large bounds."""
@@ -359,18 +340,6 @@ def _random_below(bound: int, rng: np.random.Generator) -> int:
         r = random_bits(bits, rng)
         if r < bound:
             return r
-
-
-def factor_from_dict(d: dict) -> Factor:
-    kind = d["kind"]
-    register = tuple(d["register"])
-    if kind == "point":
-        return PointFactor(register, parse_pauli(d["pauli"]))
-    if kind == "weight_at_most":
-        return WeightAtMostFactor(register, d["max_weight"])
-    if kind in _FACTOR_KINDS:
-        return _FACTOR_KINDS[kind](register)
-    raise ValueError(f"unknown factor kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +400,15 @@ class PauliEnsemble:
                 return out
         return out
 
-    def chi_batch(self, xb: np.ndarray, zb: np.ndarray) -> np.ndarray:
-        """mean_chi_exact of every packed row, in floating point."""
+    def chi_batch(self, xs, zs, rows: int) -> np.ndarray:
+        """mean_chi_exact of every column-batch row, in floating point."""
         if self.frame_gates:
-            xb, zb = xb.copy(), zb.copy()
+            xs, zs = list(xs), list(zs)
             for g in reversed(self.frame_gates):  # the inverse frame, sign-free
-                _apply_gate_bits(xb, zb, g)
-        out = np.ones(xb.shape[0])
+                _apply_gate(xs, zs, 0, g)
+        out = np.ones(rows)
         for f in self.factors:
-            out *= f.chi_batch(xb, zb)
+            out *= f.chi_batch(xs, zs, rows)
         return out
 
     def contains(self, p: PauliOp) -> bool:
@@ -468,21 +437,6 @@ class PauliEnsemble:
                 x |= dx
                 z |= dz
             yield apply_gates(PauliOp(self.n, x, z), self.frame_gates or ()).unsigned()
-
-    def to_dict(self) -> dict:
-        return {
-            "factors": [f.to_dict() for f in self.factors],
-            "frame": None if self.frame_gates is None else [g.to_dict() for g in self.frame_gates],
-        }
-
-    @staticmethod
-    def from_dict(n: int, d: dict) -> "PauliEnsemble":
-        frame = d.get("frame")
-        return PauliEnsemble(
-            n,
-            tuple(factor_from_dict(fd) for fd in d["factors"]),
-            None if frame is None else tuple(GateSpec.from_dict(g) for g in frame),
-        )
 
 
 def point_ensemble(p: PauliOp) -> PauliEnsemble:
@@ -538,20 +492,6 @@ class PauliChannel:
     def identity_prob(self) -> float:
         return max(0.0, 1.0 - sum(p for p, _ in self.atoms))
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "identity_prob": self.identity_prob,
-            "atoms": [{"prob": p, "ensemble": e.to_dict()} for p, e in self.atoms],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "PauliChannel":
-        n = d["n"]
-        return PauliChannel(
-            n, tuple((a["prob"], PauliEnsemble.from_dict(n, a["ensemble"])) for a in d["atoms"])
-        )
-
 
 def make_single_qubit_pauli_noise(n: int, target_qubit: int, px: float, py: float, pz: float) -> PauliChannel:
     """X/Y/Z noise on one qubit of an n-qubit register (zero rates omitted)."""
@@ -588,18 +528,18 @@ def pauli_fidelity(ch: PauliChannel, p: PauliOp) -> float:
     return ch.identity_prob + acc
 
 
-def fidelity_batch(ch: PauliChannel, xb: np.ndarray, zb: np.ndarray) -> np.ndarray:
-    """pauli_fidelity of every row of a packed (batch, words) X/Z batch.
+def fidelity_batch(ch: PauliChannel, xs, zs, rows: int) -> np.ndarray:
+    """pauli_fidelity of every row of a column batch: ch.n x and z columns of ``rows`` bits.
 
     Evaluated as 1 − Σ p·(1 − χ) over the atoms, atoms that share an
     ensemble merged first.  Point atoms then contribute exactly 0 or 2·p, so
     bare Pauli noise comes out as 1 − 2·(sum of anticommuting rates).
     """
-    if xb.shape != zb.shape or xb.ndim != 2 or xb.shape[1] != _num_words(ch.n):
-        raise ValueError("packed rows do not match the channel's qubit count")
-    loss = np.zeros(xb.shape[0])
+    if len(xs) != ch.n or len(zs) != ch.n:
+        raise ValueError("column batch does not match the channel's qubit count")
+    loss = np.zeros(rows)
     for prob, ensemble in _merged_atoms(ch):
-        loss += prob * (1.0 - ensemble.chi_batch(xb, zb))
+        loss += prob * (1.0 - ensemble.chi_batch(xs, zs, rows))
     return 1.0 - loss
 
 

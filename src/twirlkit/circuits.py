@@ -4,8 +4,9 @@ A circuit alternates Clifford layers with noisy Pauli-axis rotations.  Each
 rotation ``exp(i·θ·Q)`` is realized as ``V† · Rz(θ on qubit 0) · V`` where the
 Clifford frame ``V`` maps the axis ``Q`` onto ``Z`` on qubit 0, and its noise
 is a single-qubit Pauli channel attached at frame qubit 0.  The engine
-back-propagates observables through the circuit in the Heisenberg picture on
-packed bit arrays, multiplying per-layer Pauli fidelities, which keeps the
+back-propagates observables through the circuit in the Heisenberg picture as
+one column batch (``tableau``: an int per qubit, one bit per observable),
+multiplying per-layer Pauli fidelities, which keeps the
 cost polynomial in the qubit count for Clifford-angle circuits.  Every
 fidelity is evaluated in batch by ``channels.fidelity_batch`` on the layer's
 channel: directly for a noise layer, and for a rotation layer once per
@@ -15,14 +16,15 @@ and the weight on the other qubits.
 A rotation layer costs only its walk: the set-up is shared between layers.
 Its frame gates are built, and checked on a tableau, once per axis; its rates
 are read once per noise channel; the rescale coefficient evaluates s/u once
-per distinct channel.  The frame, axis-word, rate, channel and table memos are
+per distinct channel.  The frame, rate, channel and table memos are
 module-level ``lru_cache``s, so ``cache_clear`` empties them with the
 package's other memos.
 
 The walk replays a rotation layer's gates once, forward only.  A copy of the
 rows goes through the frame V and, in the sampled modes, the drawn gadget D
 inverted; the fidelity is read there.  The rows themselves take the rotation
-about the axis Q as P → P·Q when P anticommutes with Q, and stay P otherwise.
+about the axis Q as P → P·Q when P anticommutes with Q, and stay P otherwise:
+the anticommutation mask is XORed into the columns of Q's support.
 Three facts make this exact: (1) a symmetric gadget D fixes Z on qubit 0, so
 the copy's qubit-0 x-bit is that anticommutation bit; (2) the rotation only
 swaps X and Y on qubit 0, so the gadget's second depolarizing factor, set by
@@ -52,8 +54,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .channels import PauliChannel, avg_noise_strength, fidelity_batch, make_single_qubit_pauli_noise, unitarity
-from .paulis import PauliOp, _bits_from_paulis, _get_bit, _mask_words, _popcount_rows, random_paulis
-from .tableau import CliffordOp, GateSpec, _apply_gate_bits, _check_qubits, clifford_mapping_z0_to, decompose_gates
+from .paulis import PauliOp, _columns, _unpack, _weight, random_paulis
+from .tableau import CliffordOp, GateSpec, _apply_gate, clifford_mapping_z0_to, decompose_gates, from_gates
 from .twirl import SymmetrySpec, sample_full_twirl_gate, sample_ksparse_twirl_gate, twirl_channel, twirl_channel_ksparse
 
 __all__ = [
@@ -115,14 +117,6 @@ def _point_rates(ch: PauliChannel) -> tuple[float, float, float]:
 def _frame_gates(axis: PauliOp) -> tuple[GateSpec, ...]:
     """Frame gates shared by every rotation layer about ``axis``."""
     return clifford_mapping_z0_to(axis)
-
-
-@lru_cache(maxsize=None)
-def _axis_words(axis: PauliOp) -> tuple[np.ndarray, np.ndarray]:
-    """The axis as one packed (1, words) x row and z row, shared like its frame."""
-    qx, qz = _bits_from_paulis([axis], axis.n)
-    qx.flags.writeable = qz.flags.writeable = False
-    return qx, qz
 
 
 @dataclass(frozen=True)
@@ -205,9 +199,9 @@ class RotationLayer:
 class CliffordLayer:
     """A noiseless Clifford operation between rotation layers, run as its gate list.
 
-    ``gates`` must generate ``op``; only their qubits are checked against
-    ``op.n``.  When omitted they are synthesized from ``op`` with
-    ``decompose_gates``.  The engine and the dense oracle read only the gates.
+    Supplied ``gates`` must generate ``op``, sign included: the engine and the
+    dense oracle read only the gates.  When omitted they are synthesized from
+    ``op`` with ``decompose_gates``.
     """
 
     op: CliffordOp
@@ -216,8 +210,8 @@ class CliffordLayer:
     def __post_init__(self) -> None:
         if self.gates is None:
             object.__setattr__(self, "gates", tuple(decompose_gates(self.op)))
-        else:
-            _check_qubits(self.op.n, self.gates)
+        elif from_gates(self.op.n, self.gates) != self.op:
+            raise ValueError("the Clifford layer's gates do not generate its op")
 
     @property
     def n(self) -> int:
@@ -437,16 +431,17 @@ def build_trotter_circuit(
 # ---------------------------------------------------------------------------
 
 
-def _gadget_depolarize(p_d: float, support, xb: np.ndarray, zb: np.ndarray, lam: np.ndarray) -> None:
+def _gadget_depolarize(p_d: float, support, xs, zs, rows: int, lam: np.ndarray) -> None:
     """Local depolarizing noise at rate p_d on each qubit of a gadget's support."""
     if p_d > 0 and support:
-        lam *= (1 - 4 * p_d / 3) ** _popcount_rows((xb | zb) & _mask_words(support, xb.shape[1]))
+        lam *= (1 - 4 * p_d / 3) ** _weight(xs, zs, support, rows)
 
 
 def _rotation_step(
     layer: RotationLayer,
-    xb: np.ndarray,
-    zb: np.ndarray,
+    xs: list[int],
+    zs: list[int],
+    rows: int,
     lam: np.ndarray,
     rng: np.random.Generator | None,
 ) -> None:
@@ -459,9 +454,9 @@ def _rotation_step(
     anticommutation of P with the axis, and the rotation leaves the weight on
     the gadget's support alone.  A sampled layer draws one gadget per call.
     """
-    fx, fz = xb.copy(), zb.copy()
+    fx, fz = list(xs), list(zs)
     for g in layer.frame_gates:
-        _apply_gate_bits(fx, fz, g)
+        _apply_gate(fx, fz, 0, g)
 
     mode = layer.twirl_mode
     gadget = None
@@ -470,27 +465,30 @@ def _rotation_step(
             gadget = sample_full_twirl_gate(layer.n, rng)
         else:
             gadget = sample_ksparse_twirl_gate(layer.n, layer.k, rng)
-        _gadget_depolarize(layer.gadget_noise_rate, gadget.support, fx, fz, lam)
+        _gadget_depolarize(layer.gadget_noise_rate, gadget.support, fx, fz, rows, lam)
         for g in reversed(gadget.gates):
-            _apply_gate_bits(fx, fz, g)
+            _apply_gate(fx, fz, 0, g)
 
-    x0 = _get_bit(fx, 0)
-    z0 = _get_bit(fz, 0)
+    x0, z0 = _unpack([fx[0], fz[0]], rows)
     table = _fidelity_table(layer.n, layer.rates, mode, layer.k)
-    letter = (x0 + 2 * z0).astype(np.intp)
+    letter = x0 + 2 * z0
     if table.ndim == 1:
         lam *= table[letter]
     else:
-        lam *= table[letter, _popcount_rows(fx | fz) - (x0 | z0).astype(np.int64)]
+        lam *= table[letter, _weight(fx, fz, range(1, layer.n), rows)]
     if gadget is not None:
-        _gadget_depolarize(layer.gadget_noise_rate, gadget.support, fx, fz, lam)
+        _gadget_depolarize(layer.gadget_noise_rate, gadget.support, fx, fz, rows, lam)
 
     kind = layer.rotation_kind
-    if kind == "quarter":
-        qx, qz = _axis_words(layer.axis)
-        xb ^= x0[:, None] * qx
-        zb ^= x0[:, None] * qz
-    elif kind == "generic" and x0.any():
+    anti = fx[0]
+    if kind == "quarter" and anti:
+        axis = layer.axis
+        for q in range((axis.x | axis.z).bit_length()):
+            if axis.x >> q & 1:
+                xs[q] ^= anti
+            if axis.z >> q & 1:
+                zs[q] ^= anti
+    elif kind == "generic" and anti:
         raise ValueError(
             "non-Clifford rotation angle: deterministic propagation only supports "
             "observables that commute with the axis (use the dense oracle instead)"
@@ -499,20 +497,22 @@ def _rotation_step(
 
 def _walk(
     c: LogicalCircuit,
-    xb: np.ndarray,
-    zb: np.ndarray,
+    xs: list[int],
+    zs: list[int],
+    rows: int,
     rng: np.random.Generator | None,
 ) -> np.ndarray:
-    """One full back-propagation pass; returns per-observable fidelities."""
-    lam = np.ones(xb.shape[0])
+    """One full back-propagation pass of a copy of the columns; returns per-row fidelities."""
+    xs, zs = list(xs), list(zs)
+    lam = np.ones(rows)
     for layer in reversed(c.layers):
         if isinstance(layer, RotationLayer):
-            _rotation_step(layer, xb, zb, lam, rng)
+            _rotation_step(layer, xs, zs, rows, lam, rng)
         elif isinstance(layer, CliffordLayer):
             for g in reversed(layer.gates):
-                _apply_gate_bits(xb, zb, g)
+                _apply_gate(xs, zs, 0, g)
         else:
-            lam *= fidelity_batch(layer.channel, xb, zb)
+            lam *= fidelity_batch(layer.channel, xs, zs, rows)
     return lam
 
 
@@ -545,15 +545,15 @@ def effective_fidelity_batch(
             raise ValueError("observable dimension mismatch")
         if p.x == 0 and p.z == 0:
             raise ValueError("observables must be nonidentity")
+    xs, zs = _columns(paulis, c.n)
+    rows = len(paulis)
     if not _has_sampled_layers(c):
-        xb, zb = _bits_from_paulis(paulis, c.n)
-        return _walk(c, xb, zb, rng), np.zeros(len(paulis))
+        return _walk(c, xs, zs, rows, rng), np.zeros(rows)
     if rng is None:
         raise ValueError("sampled twirl modes need an rng")
-    samples = np.empty((shots, len(paulis)))
+    samples = np.empty((shots, rows))
     for s in range(shots):
-        xb, zb = _bits_from_paulis(paulis, c.n)
-        samples[s] = _walk(c, xb, zb, rng)
+        samples[s] = _walk(c, xs, zs, rows, rng)
     mean = samples.mean(axis=0)
     if shots == 1:
         return mean, np.zeros(len(paulis))
@@ -599,7 +599,7 @@ def _fidelity_table(n: int, rates: tuple[float, float, float], mode: str, k: int
         mode, k = "none", None
     rest = [((1 << t) - 1) << 1 for t in range(n)]  # X on qubits 1..t
     probes = [PauliOp(n, (letter & 1) | r, letter >> 1) for letter in range(4) for r in rest]
-    table = fidelity_batch(_frame_channel(n, rates, mode, k), *_bits_from_paulis(probes, n)).reshape(4, n)
+    table = fidelity_batch(_frame_channel(n, rates, mode, k), *_columns(probes, n), len(probes)).reshape(4, n)
     if (table == table[:, :1]).all():
         table = table[:, 0].copy()
     table.flags.writeable = False

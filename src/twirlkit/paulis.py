@@ -9,8 +9,9 @@ global phase exponent ``k`` with sign = i**k:
 The letter bits describe the Pauli string itself (so (1,1) means the Hermitian
 letter Y, not the product XZ); the phase exponent carries everything else.
 Python integers have no width limit, so the qubit count is a plain runtime
-parameter with no fixed cap.  For vectorized work, batches of unsigned Paulis
-are also packed into rows of 64-bit words (private helpers at the bottom).
+parameter with no fixed cap.  For vectorized work, a batch of unsigned Paulis
+is held by qubit, as columns: one int per qubit whose bit r belongs to row r
+(private helpers at the bottom).
 
 Internally the product formula converts through the symplectic normal form
 P = i**(x.z) X^x Z^z, which gives the phase of a product as
@@ -218,49 +219,29 @@ def format_pauli(p: PauliOp) -> str:
 
 
 # ---------------------------------------------------------------------------
-# packed batches: unsigned Paulis as rows of (batch, words) uint64 arrays
+# column batches: xs[q] holds bit r = x bit of row r on qubit q (CHP columns,
+# qubit-major as in Stim), zs[q] the z bits the same way
 # ---------------------------------------------------------------------------
 
-_WORD_BITS = 64
-_WORD_MASK = (1 << _WORD_BITS) - 1
+
+def _unpack(vectors: list[int], width: int) -> np.ndarray:
+    """(len(vectors), width) uint8 array: entry [i, j] is bit j of vectors[i]."""
+    size = (width + 7) // 8
+    raw = np.frombuffer(b"".join(v.to_bytes(size, "little") for v in vectors), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(vectors), size), axis=1, count=width, bitorder="little")
 
 
-def _num_words(n: int) -> int:
-    return (n + _WORD_BITS - 1) // _WORD_BITS
+def _transpose(vectors: list[int], width: int) -> list[int]:
+    """``width`` ints whose bit j at index i is bit i of vectors[j]: the bit-matrix transpose."""
+    packed = np.packbits(_unpack(vectors, width).T, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _int_words(value: int, words: int) -> list[int]:
-    """Little-endian 64-bit words of a nonnegative bit vector."""
-    return [(value >> (w * _WORD_BITS)) & _WORD_MASK for w in range(words)]
+def _columns(paulis: list[PauliOp], n: int) -> tuple[list[int], list[int]]:
+    """The unsigned rows as n x columns and n z columns."""
+    return _transpose([p.x for p in paulis], n), _transpose([p.z for p in paulis], n)
 
 
-def _packed(value: int, words: int) -> np.ndarray:
-    """One packed word row holding a bit vector."""
-    return np.array(_int_words(value, words), dtype=np.uint64)
-
-
-def _mask_words(qubits, words: int) -> np.ndarray:
-    """One packed word row with the bits of ``qubits`` set."""
-    return _packed(sum(1 << q for q in qubits), words)
-
-
-def _bits_from_paulis(paulis: list[PauliOp], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pack unsigned X/Z bit masks into (batch, words) uint64 arrays."""
-    words = _num_words(n)
-    shape = (len(paulis), words)
-    xb = np.array([_int_words(p.x, words) for p in paulis], dtype=np.uint64).reshape(shape)
-    zb = np.array([_int_words(p.z, words) for p in paulis], dtype=np.uint64).reshape(shape)
-    return xb, zb
-
-
-def _get_bit(arr: np.ndarray, q: int) -> np.ndarray:
-    return (arr[:, q // _WORD_BITS] >> np.uint64(q % _WORD_BITS)) & np.uint64(1)
-
-
-def _xor_bit(arr: np.ndarray, q: int, bits: np.ndarray) -> None:
-    arr[:, q // _WORD_BITS] ^= bits << np.uint64(q % _WORD_BITS)
-
-
-def _popcount_rows(arr: np.ndarray) -> np.ndarray:
-    """Number of set bits in each row; mask first to count on a register."""
-    return np.bitwise_count(arr).sum(axis=1, dtype=np.int64)
+def _weight(xs, zs, qubits, rows: int) -> np.ndarray:
+    """Per row, the number of ``qubits`` it acts on."""
+    return _unpack([xs[q] | zs[q] for q in qubits], rows).sum(axis=0, dtype=np.int64)

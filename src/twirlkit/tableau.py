@@ -10,9 +10,15 @@ Conjugation of an arbitrary Pauli decomposes it through the generator images::
 
 so C P C† is the ordered product of the stored images with the same prefactor.
 
-Elementary gates act on a Pauli through closed-form bit/phase update rules
+Elementary gates act on Paulis through one set of closed-form bit/sign rules
 (verified exhaustively against a dense-matrix reference in the test suite),
-and on packed batches of unsigned Paulis through their sign-free bit rules.
+applied to a batch held as qubit-indexed columns: the CHP column form
+(Aaronson & Gottesman, arXiv:quant-ph/0406196), stored qubit-major as in
+Stim (Gidney, arXiv:2103.02202).  xs[q] is an int whose bit r is the x bit
+of row r on qubit q, zs[q] holds the z bits, and a sign int holds one bit
+per row, so a gate costs a few int operations whatever the batch width.
+A single Pauli, a tableau's 2n generator images and the engine's
+observables are all such batches.
 Uniform random sampling uses the exact canonical-form construction over the
 binary symplectic group (Koenig & Smolin, arXiv:1406.2170: transvection-based,
 rejection-free), plus uniform sign bits — every tableau is produced with
@@ -22,8 +28,8 @@ even-bit mask of the symplectic form is sized per call, so any n works.
 
 Tableaus are for sampling, synthesis and checks.  Everywhere else a Clifford
 is kept as its gate list (rotation frames, symmetry frames, Clifford layers,
-twirling gadgets) and acts on Paulis through ``apply_gates`` or, on packed
-batches, ``_apply_gate_bits``.
+twirling gadgets) and acts on Paulis through ``apply_gates`` or, on column
+batches, ``_apply_gate``.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .paulis import _WORD_BITS, PauliOp, _get_bit, _xor_bit, commutes, identity, pauli_mul, random_bits, single
+from .paulis import PauliOp, _columns, _transpose, commutes, identity, pauli_mul, random_bits, single
 
 _ONE_QUBIT_KINDS = ("H", "S", "X", "Y", "Z")
 _TWO_QUBIT_KINDS = ("CNOT", "CZ", "SWAP")
@@ -71,76 +77,58 @@ class GateSpec:
         if min(self.qubits) < 0:  # every kind above holds at least one qubit
             raise ValueError(f"{kind} qubits must be non-negative, got {self.qubits}")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "qubits": list(self.qubits)}
-
-    @staticmethod
-    def from_dict(d: dict) -> "GateSpec":
-        return GateSpec(d["kind"], tuple(d["qubits"]))
-
 
 def gate(kind: str, *qubits: int) -> GateSpec:
     return GateSpec(kind, tuple(qubits))
 
 
-def _apply_gate(p: PauliOp, g: GateSpec) -> PauliOp:
-    """g p g† for an elementary gate, via closed-form bit/phase rules."""
-    x, z, phase = p.x, p.z, p.phase
+def _apply_gate(xs, zs, sign: int, g: GateSpec) -> int:
+    """g P g† for every row of a column batch: columns in place, new sign bits returned.
+
+    ``xs[q]``/``zs[q]`` are the x/z bits of qubit q, one bit per row, and bit r
+    of ``sign`` is set where row r carries −1; any container indexed by qubit
+    works.  Callers that track no sign pass 0 and drop the result: the bit
+    rules are involutions (S and S† agree there), so replaying a reversed
+    gate list undoes them.
+    """
     kind = g.kind
     if kind == "H":
         (q,) = g.qubits
-        b = 1 << q
-        xb, zb = x & b, z & b
-        if xb and zb:
-            phase += 2
-        x = (x & ~b) | (b if zb else 0)
-        z = (z & ~b) | (b if xb else 0)
-    elif kind == "S":
+        x, z = xs[q], zs[q]
+        xs[q], zs[q] = z, x
+        return sign ^ x & z
+    if kind == "S":
         (q,) = g.qubits
-        b = 1 << q
-        if x & z & b:
-            phase += 2
-        z ^= x & b
-    elif kind == "X":
-        (q,) = g.qubits
-        if z >> q & 1:
-            phase += 2
-    elif kind == "Y":
-        (q,) = g.qubits
-        if (x ^ z) >> q & 1:
-            phase += 2
-    elif kind == "Z":
-        (q,) = g.qubits
-        if x >> q & 1:
-            phase += 2
-    elif kind == "CNOT":
-        c, t = g.qubits
-        xc, zc = x >> c & 1, z >> c & 1
-        xt, zt = x >> t & 1, z >> t & 1
-        if xc & zt & (xt ^ zc ^ 1):
-            phase += 2
-        x ^= xc << t
-        z ^= zt << c
-    elif kind == "CZ":
-        a, b = g.qubits
-        xa, za = x >> a & 1, z >> a & 1
-        xb, zb = x >> b & 1, z >> b & 1
-        if xa & xb & (za ^ zb):
-            phase += 2
-        z ^= (xa << b) | (xb << a)
-    elif kind == "SWAP":
-        a, b = g.qubits
-        xa, xb = x >> a & 1, x >> b & 1
-        za, zb = z >> a & 1, z >> b & 1
-        x ^= ((xa ^ xb) << a) | ((xa ^ xb) << b)
-        z ^= ((za ^ zb) << a) | ((za ^ zb) << b)
-    else:  # MULTICNOT: a fan of CNOTs sharing one control (they all commute)
-        control, *targets = g.qubits
-        out = p
+        x, z = xs[q], zs[q]
+        zs[q] = z ^ x
+        return sign ^ x & z
+    if kind == "CNOT" or kind == "MULTICNOT":  # a fan of CNOTs sharing one control
+        c, *targets = g.qubits
+        xc = xs[c]
         for t in targets:
-            out = _apply_gate(out, GateSpec("CNOT", (control, t)))
-        return out
-    return PauliOp(p.n, x, z, phase % 4)
+            zt = zs[t]
+            sign ^= xc & zt & ~(xs[t] ^ zs[c])
+            xs[t] ^= xc
+            zs[c] ^= zt
+        return sign
+    if kind == "CZ":
+        a, b = g.qubits
+        xa, xb = xs[a], xs[b]
+        sign ^= xa & xb & (zs[a] ^ zs[b])
+        zs[a] ^= xb
+        zs[b] ^= xa
+        return sign
+    if kind == "SWAP":
+        a, b = g.qubits
+        xs[a], xs[b] = xs[b], xs[a]
+        zs[a], zs[b] = zs[b], zs[a]
+        return sign
+    (q,) = g.qubits  # a Pauli gate flips the sign of the rows it anticommutes with
+    if kind == "X":
+        return sign ^ zs[q]
+    if kind == "Z":
+        return sign ^ xs[q]
+    return sign ^ xs[q] ^ zs[q]
 
 
 @dataclass(frozen=True)
@@ -241,70 +229,41 @@ def _check_qubits(n: int, gates: list[GateSpec] | tuple[GateSpec, ...]) -> None:
             raise ValueError(f"gate {g} addresses qubit >= n={n}")
 
 
+def _generator_columns(n: int, gates) -> tuple[list[int], list[int], int]:
+    """Columns and sign of the images of X_0..X_{n-1} (rows 0..n-1) and Z_0..Z_{n-1} (rows n..2n-1)."""
+    xs = [1 << q for q in range(n)]
+    zs = [1 << n + q for q in range(n)]
+    sign = 0
+    for g in gates:
+        sign = _apply_gate(xs, zs, sign, g)
+    return xs, zs, sign
+
+
 def from_gates(n: int, gates: list[GateSpec] | tuple[GateSpec, ...]) -> CliffordOp:
     """Tableau of a gate sequence applied left to right."""
     _check_qubits(n, gates)
-    start = identity_clifford(n)
-    image_x, image_z = list(start.image_x), list(start.image_z)
-    for g in gates:
-        # A gate acts as the identity, sign included, on an image with no bit on its qubits.
-        touched = sum(1 << q for q in g.qubits)
-        image_x = [_apply_gate(p, g) if (p.x | p.z) & touched else p for p in image_x]
-        image_z = [_apply_gate(p, g) if (p.x | p.z) & touched else p for p in image_z]
-    return CliffordOp(n, tuple(image_x), tuple(image_z))
+    xs, zs, sign = _generator_columns(n, gates)
+    images = [
+        PauliOp(n, x, z, 2 * (sign >> r & 1))
+        for r, (x, z) in enumerate(zip(_transpose(xs, 2 * n), _transpose(zs, 2 * n)))
+    ]
+    return CliffordOp(n, tuple(images[:n]), tuple(images[n:]))
 
 
 def apply_gates(p: PauliOp, gates: list[GateSpec] | tuple[GateSpec, ...]) -> PauliOp:
-    """(g_m ... g_1) p (g_m ... g_1)† without building a tableau."""
+    """(g_m ... g_1) p (g_m ... g_1)† without building a tableau: a width-1 column batch."""
+    if not gates:
+        return p
+    touched = {q for g in gates for q in g.qubits}
+    xs = {q: p.x >> q & 1 for q in touched}
+    zs = {q: p.z >> q & 1 for q in touched}
+    sign = 0
     for g in gates:
-        p = _apply_gate(p, g)
-    return p
-
-
-def _apply_gate_bits(xb: np.ndarray, zb: np.ndarray, g: GateSpec) -> None:
-    """Unsigned conjugation of a packed batch by one Clifford gate, in place.
-
-    Every rule below is an involution on the sign-stripped bits (S and S†
-    act identically there), so propagating through an inverted gate list is
-    just replaying the reversed list.
-    """
-    kind = g.kind
-    if kind in ("X", "Y", "Z"):
-        return
-    if kind == "H":
-        q = g.qubits[0]
-        w, m = q // _WORD_BITS, np.uint64(1 << (q % _WORD_BITS))
-        diff = (xb[:, w] ^ zb[:, w]) & m
-        xb[:, w] ^= diff
-        zb[:, w] ^= diff
-        return
-    if kind == "S":
-        q = g.qubits[0]
-        w, m = q // _WORD_BITS, np.uint64(1 << (q % _WORD_BITS))
-        zb[:, w] ^= xb[:, w] & m
-        return
-    if kind in ("CNOT", "MULTICNOT"):  # a fan of CNOTs sharing one control
-        c, *targets = g.qubits
-        xc = _get_bit(xb, c)
-        for t in targets:
-            _xor_bit(xb, t, xc)
-            _xor_bit(zb, c, _get_bit(zb, t))
-        return
-    if kind == "CZ":
-        a, b = g.qubits
-        xa, xc = _get_bit(xb, a), _get_bit(xb, b)
-        _xor_bit(zb, b, xa)
-        _xor_bit(zb, a, xc)
-        return
-    if kind == "SWAP":
-        a, b = g.qubits
-        for arr in (xb, zb):
-            ba, bb = _get_bit(arr, a), _get_bit(arr, b)
-            diff = ba ^ bb
-            _xor_bit(arr, a, diff)
-            _xor_bit(arr, b, diff)
-        return
-    raise ValueError(f"unsupported gate kind {kind!r}")
+        sign = _apply_gate(xs, zs, sign, g)
+    keep = ~sum(1 << q for q in touched)
+    x = p.x & keep | sum(xs[q] << q for q in touched)
+    z = p.z & keep | sum(zs[q] << q for q in touched)
+    return PauliOp(p.n, x, z, p.phase ^ 2 * sign)
 
 
 def invert_gates(gates: list[GateSpec] | tuple[GateSpec, ...]) -> list[GateSpec]:
@@ -330,12 +289,8 @@ def single_qubit_clifford_words() -> tuple[tuple[str, ...], ...]:
         nxt = []
         for tab, word in frontier:
             for kind in ("H", "S"):
-                g = GateSpec(kind, (0,))
-                tab2 = CliffordOp(
-                    1,
-                    (_apply_gate(tab.image_x[0], g),),
-                    (_apply_gate(tab.image_z[0], g),),
-                )
+                g = (GateSpec(kind, (0,)),)
+                tab2 = CliffordOp(1, (apply_gates(tab.image_x[0], g),), (apply_gates(tab.image_z[0], g),))
                 key = (tab2.image_x[0], tab2.image_z[0])
                 if key not in seen:
                     seen[key] = word + (kind,)
@@ -448,58 +403,57 @@ def decompose_gates(c: CliffordOp) -> list[GateSpec]:
     """Elementary gate sequence whose from_gates tableau equals ``c``.
 
     Column-elimination: conjugating the tableau by prepended gates reduces it
-    to the identity; the answer is the reversed, inverted gate list.
+    to the identity; the answer is the reversed, inverted gate list.  The 2n
+    images are one signed column batch: row i is C X_i C†, row n + i is C Z_i C†.
     """
     n = c.n
-    image_x = list(c.image_x)
-    image_z = list(c.image_z)
+    images = c.image_x + c.image_z
+    xs, zs = _columns(images, n)
+    sign = sum((p.phase >> 1) << r for r, p in enumerate(images))
     applied: list[GateSpec] = []
 
     def apply(g: GateSpec) -> None:
+        nonlocal sign
         applied.append(g)
-        for arr in (image_x, image_z):
-            for i in range(n):
-                arr[i] = _apply_gate(arr[i], g)
+        sign = _apply_gate(xs, zs, sign, g)
 
     for i in range(n):
-        row = image_x[i]
+        zi = n + i  # the row of C Z_i C†
         # pivot: an X component at some qubit >= i
-        pivot = next((q for q in range(i, n) if row.x >> q & 1), None)
+        pivot = next((q for q in range(i, n) if xs[q] >> i & 1), None)
         if pivot is None:
-            pivot = next(q for q in range(i, n) if row.z >> q & 1)
+            pivot = next(q for q in range(i, n) if zs[q] >> i & 1)
             apply(gate("H", pivot))
         if pivot != i:
             apply(gate("SWAP", i, pivot))
-        row = image_x[i]
         for q in range(n):
-            if q != i and row.x >> q & 1:
+            if q != i and xs[q] >> i & 1:
                 apply(gate("CNOT", i, q))
-        row = image_x[i]
         for q in range(n):
-            if q != i and row.z >> q & 1:
+            if q != i and zs[q] >> i & 1:
                 apply(gate("CZ", i, q))
-        if image_x[i].z >> i & 1:
+        if zs[i] >> i & 1:
             apply(gate("S", i))
-        # image_x[i] is now +-X_i; bring image_z[i] to +-Z_i with gates fixing X_i
+        # row i is now +-X_i; bring row n + i to +-Z_i with gates fixing X_i
         for q in range(n):
             if q == i:
                 continue
-            if image_z[i].x >> q & 1 and image_z[i].z >> q & 1:
+            if xs[q] >> zi & zs[q] >> zi & 1:
                 apply(gate("S", q))
-            if image_z[i].x >> q & 1:
+            if xs[q] >> zi & 1:
                 apply(gate("H", q))
-            if image_z[i].z >> q & 1:
+            if zs[q] >> zi & 1:
                 apply(gate("CNOT", q, i))
-        if image_z[i].x >> i & 1:  # letter Y at the pivot: sqrt(X) fixes X_i
+        if xs[i] >> zi & 1:  # letter Y at the pivot: sqrt(X) fixes X_i
             apply(gate("H", i))
             apply(gate("S", i))
             apply(gate("H", i))
     for i in range(n):
-        if image_x[i].phase:
+        if sign >> i & 1:
             apply(gate("Z", i))
-        if image_z[i].phase:
+        if sign >> n + i & 1:
             apply(gate("X", i))
-    assert CliffordOp(n, tuple(image_x), tuple(image_z)).is_identity()
+    assert (xs, zs, sign) == _generator_columns(n, ())
     return invert_gates(applied)
 
 

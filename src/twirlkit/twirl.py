@@ -131,15 +131,6 @@ class TwirlGadget:
         """D p D† straight off the gate list (no tableau build)."""
         return apply_gates(p, self.gates)
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "gates": [g.to_dict() for g in self.gates], "support": sorted(self.support)}
-
-    @staticmethod
-    def from_dict(d: dict) -> "TwirlGadget":
-        return TwirlGadget(
-            d["n"], tuple(GateSpec.from_dict(g) for g in d["gates"]), frozenset(d["support"])
-        )
-
 
 def _assemble_gadget(n: int, targets: tuple[int, ...], local_indices: tuple[int, ...], s_fired: bool) -> TwirlGadget:
     gates: list[GateSpec] = []

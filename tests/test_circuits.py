@@ -197,6 +197,14 @@ class TestLayerValidation:
         with pytest.raises(ValueError, match="qubit"):
             CliffordLayer(from_gates(3, gates[:1]), gates)
 
+    def test_clifford_layer_gates_must_generate_op(self):
+        # The engine and the dense oracle run only the gates, so a mismatch would run silently.
+        with pytest.raises(ValueError, match="generate"):
+            CliffordLayer(from_gates(2, [gate("H", 0)]), (gate("S", 1),))
+        # X·Z·X = −Z: the same bits as H alone, with the other sign
+        with pytest.raises(ValueError, match="generate"):
+            CliffordLayer(from_gates(2, [gate("H", 0)]), (gate("H", 0), gate("X", 0)))
+
 
 # ---------------------------------------------------------------------------
 # the deterministic walk
@@ -401,11 +409,11 @@ class TestDeterministicWalk:
         clifford = CliffordLayer(random_clifford(9, rng))
         c = LogicalCircuit(9, (clifford, *trotter.layers, clifford))
         applied, gadgets = [], []
-        apply_gate_bits = circuits._apply_gate_bits
+        apply_gate = circuits._apply_gate
 
-        def counted_apply(xb, zb, g):
+        def counted_apply(xs, zs, sign, g):
             applied.append(g)
-            apply_gate_bits(xb, zb, g)
+            return apply_gate(xs, zs, sign, g)
 
         def recorded(sampler):
             def draw(*args):
@@ -414,7 +422,7 @@ class TestDeterministicWalk:
 
             return draw
 
-        monkeypatch.setattr(circuits, "_apply_gate_bits", counted_apply)
+        monkeypatch.setattr(circuits, "_apply_gate", counted_apply)
         for name in ("sample_full_twirl_gate", "sample_ksparse_twirl_gate"):
             monkeypatch.setattr(circuits, name, recorded(getattr(circuits, name)))
         paulis = [random_pauli(9, exclude_identity=True, rng=rng) for _ in range(10)]

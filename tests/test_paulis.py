@@ -6,6 +6,9 @@ import pytest
 import reference as ref
 from twirlkit.paulis import (
     PauliOp,
+    _columns,
+    _transpose,
+    _weight,
     commutes,
     format_pauli,
     identity,
@@ -156,3 +159,18 @@ def test_restrict():
     p = parse_pauli("XYZI")
     r = p.restrict((1, 3))
     assert format_pauli(r) == "YI"
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("rows", [1, 7, 8, 9, 64, 65])
+def test_columns_roundtrip(rows, n):
+    """Column q holds bit r = the bit of row r on qubit q; transposing back restores the rows."""
+    paulis = random_paulis(n, rows, rng=np.random.default_rng(1000 * n + rows))
+    xs, zs = _columns(paulis, n)
+    assert len(xs) == len(zs) == n
+    for q in (0, n // 2, n - 1):
+        assert xs[q] == sum((p.x >> q & 1) << r for r, p in enumerate(paulis))
+        assert zs[q] == sum((p.z >> q & 1) << r for r, p in enumerate(paulis))
+    assert _transpose(xs, rows) == [p.x for p in paulis]
+    assert _transpose(zs, rows) == [p.z for p in paulis]
+    assert list(_weight(xs, zs, range(n), rows)) == [weight(p) for p in paulis]

@@ -10,7 +10,7 @@ import pytest
 
 import reference as ref
 from helpers import gates_to_dense, pauli_dense, pauli_label
-from twirlkit.paulis import PauliOp, format_pauli, identity, parse_pauli, random_pauli, single
+from twirlkit.paulis import PauliOp, _columns, _transpose, format_pauli, identity, parse_pauli, random_pauli, single
 from twirlkit.tableau import (
     CliffordOp,
     GateSpec,
@@ -47,26 +47,34 @@ def all_signed_paulis(n):
 # ---------------------------------------------------------------------------
 
 
+def check_gate_rule(g, n):
+    """g P g† for every signed n-qubit P against the dense reference.
+
+    Each P goes through ``apply_gates`` alone; then all 4^n Paulis, each with
+    both Hermitian signs, go through one signed column batch.
+    """
+    u = gates_to_dense([g], n)
+    singles = list(all_signed_paulis(n))
+    batch = [p for p in singles if p.phase % 2 == 0]
+    xs, zs = _columns(batch, n)
+    sign = _apply_gate(xs, zs, sum((p.phase >> 1) << r for r, p in enumerate(batch)), g)
+    rows = zip(_transpose(xs, len(batch)), _transpose(zs, len(batch)))
+    batched = [PauliOp(n, x, z, 2 * (sign >> r & 1)) for r, (x, z) in enumerate(rows)]
+    cases = [(p, apply_gates(p, [g])) for p in singles] + list(zip(batch, batched, strict=True))
+    for p, got in cases:
+        assert (pauli_label(got), got.phase) == ref.conjugate_dense(u, pauli_label(p), p.phase)
+
+
 @pytest.mark.parametrize("kind", ["H", "S", "X", "Y", "Z"])
 def test_one_qubit_gate_rules_exhaustive(kind):
     for q in (0, 1):
-        g = gate(kind, q)
-        u = gates_to_dense([g], 2)
-        for p in all_signed_paulis(2):
-            got = _apply_gate(p, g)
-            label, phase = ref.conjugate_dense(u, pauli_label(p), p.phase)
-            assert (pauli_label(got), got.phase) == (label, phase)
+        check_gate_rule(gate(kind, q), 2)
 
 
 @pytest.mark.parametrize("kind", ["CNOT", "CZ", "SWAP"])
 @pytest.mark.parametrize("qubits", [(0, 1), (1, 0), (0, 2)])
 def test_two_qubit_gate_rules_exhaustive(kind, qubits):
-    g = gate(kind, *qubits)
-    u = gates_to_dense([g], 3)
-    for p in all_signed_paulis(3):
-        got = _apply_gate(p, g)
-        label, phase = ref.conjugate_dense(u, pauli_label(p), p.phase)
-        assert (pauli_label(got), got.phase) == (label, phase)
+    check_gate_rule(gate(kind, *qubits), 3)
 
 
 def test_multicnot_rules():
@@ -77,11 +85,7 @@ def test_multicnot_rules():
     assert conjugate(tab, parse_pauli("ZII")) == parse_pauli("ZII")
     got = conjugate(tab, parse_pauli("YII"))
     assert (pauli_label(got), got.phase) == ("YXX", 0)
-    u = gates_to_dense([g], 3)
-    for p in all_signed_paulis(3):
-        got = _apply_gate(p, g)
-        label, phase = ref.conjugate_dense(u, pauli_label(p), p.phase)
-        assert (pauli_label(got), got.phase) == (label, phase)
+    check_gate_rule(g, 3)
 
 
 def test_gate_spec_validation():
@@ -97,17 +101,10 @@ def test_gate_spec_validation():
 
 
 def test_gate_spec_rejects_negative_qubits():
-    # -1 would shift into bit 63 of a packed word, outside the register
+    # -1 would index the last qubit's column, not a qubit outside the register
     for kind, qubits in (("H", (-1,)), ("CNOT", (0, -1)), ("MULTICNOT", (0, 1, -2))):
         with pytest.raises(ValueError, match="non-negative"):
             GateSpec(kind, qubits)
-
-
-def test_gate_spec_serialization_roundtrip():
-    gates = [gate("H", 0), gate("CNOT", 0, 1), gate("MULTICNOT", 0, 1, 2)]
-    dicts = [g.to_dict() for g in gates]
-    assert dicts[1] == {"kind": "CNOT", "qubits": [0, 1]}
-    assert [GateSpec.from_dict(d) for d in dicts] == gates
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +378,75 @@ def test_decompose_roundtrip():
 def test_decompose_identity_is_empty_or_trivial():
     gates = decompose_gates(identity_clifford(3))
     assert from_gates(3, gates).is_identity()
+
+
+# Gate lists of the Cliffords drawn from default_rng(20261), two per n for
+# n = 1..6 in order, recorded before synthesis moved onto column batches.
+# Gate kind and qubits are written as in "CNOT1,0".
+DECOMPOSE_FROZEN = [
+    (1, 0, "Z0 H0 S0 S0 S0 H0 S0 S0 S0"),
+    (1, 1, "Z0 H0"),
+    (2, 0, "X1 Z1 Z0 H0 S0 S0 S0 H0 CNOT1,0 S0 S0 S0"),
+    (2, 1, "X1 Z1 X0 Z0 H1 S1 S1 S1 H1 H1 H0 S0 S0 S0 H0 SWAP0,1 H1"),
+    (3, 0, "X1 Z0 H2 S2 S2 S2 H2 S2 S2 S2 CNOT2,1 H2 S2 S2 S2 CZ1,2 H1 CNOT1,0 H1 CZ0,2 CNOT0,2 SWAP0,1"),
+    (
+        3,
+        1,
+        "X2 Z2 X1 Z0 H2 S2 S2 S2 H2 H2 H1 S1 S1 S1 H1 CNOT2,1 S1 S1 S1 CNOT2,0 CNOT1,0 H1 S0 S0 "
+        "S0 CZ0,2 CNOT0,2 CNOT0,1",
+    ),
+    (
+        4,
+        0,
+        "X3 Z2 Z0 H2 S2 S2 S2 H2 CNOT3,2 H3 S2 S2 S2 CNOT2,3 H1 S1 S1 S1 H1 CNOT2,1 H2 SWAP1,2 H2 "
+        "H0 S0 S0 S0 H0 CNOT3,0 H3 S3 S3 S3 CNOT2,0 CZ0,2 CZ0,1 CNOT0,2 SWAP0,1",
+    ),
+    (
+        4,
+        1,
+        "Z3 X0 H3 S3 S3 S3 H3 S3 S3 S3 S2 S2 S2 CNOT2,3 H1 S1 S1 S1 H1 CNOT3,1 H3 S3 S3 S3 CZ1,2 "
+        "H1 CNOT3,0 H3 S3 S3 S3 CNOT2,0 CNOT1,0 H1 CNOT0,3 CNOT0,2 SWAP0,1",
+    ),
+    (
+        5,
+        0,
+        "X4 Z3 X2 X1 Z0 H4 CNOT4,3 H4 CNOT3,4 CNOT4,2 CNOT3,2 H3 CZ2,4 H1 S1 S1 S1 H1 CNOT4,1 "
+        "CNOT3,1 H3 S3 S3 S3 CNOT2,1 CZ1,4 CZ1,2 CNOT1,3 H0 S0 S0 S0 H0 CNOT4,0 CNOT3,0 H3 "
+        "CNOT2,0 H2 S0 S0 S0 CZ0,4 CNOT0,4 CNOT0,2 SWAP0,1",
+    ),
+    (
+        5,
+        1,
+        "X4 X3 Z1 Z0 H4 S4 S4 S4 H4 S4 S4 S4 H3 S3 S3 S3 H3 CNOT4,3 H4 SWAP3,4 H4 H2 S2 S2 S2 H2 "
+        "CNOT4,2 H4 CNOT3,2 S2 S2 S2 CZ2,4 CZ2,3 CNOT2,4 CNOT4,1 H4 CNOT3,1 H3 CZ1,4 CZ1,2 "
+        "CNOT1,3 CNOT1,2 CNOT2,0 H2 S0 S0 S0 CZ0,3 CZ0,2 CNOT0,3 CNOT0,2 CNOT0,1",
+    ),
+    (
+        6,
+        0,
+        "Z5 Z4 X3 Z3 X1 Z1 X0 Z0 S5 S5 S5 S4 S4 S4 CZ4,5 SWAP4,5 CNOT5,3 H5 CNOT4,3 H4 S3 S3 S3 "
+        "CZ3,4 SWAP3,5 H2 S2 S2 S2 H2 CNOT5,2 H5 S5 S5 S5 CNOT4,2 CNOT3,2 CZ2,4 CZ2,3 CNOT2,5 "
+        "SWAP2,4 H1 S1 S1 S1 H1 CNOT5,1 H5 CNOT3,1 H3 CZ1,4 CZ1,3 SWAP1,5 H0 S0 S0 S0 H0 CNOT4,0 "
+        "H4 CNOT3,0 H3 CNOT2,0 H2 S2 S2 S2 CNOT1,0 H1 S1 S1 S1 S0 S0 S0 CZ0,3 CNOT0,5 CNOT0,3 "
+        "CNOT0,2 SWAP0,1",
+    ),
+    (
+        6,
+        1,
+        "X4 Z4 X3 X2 X1 Z1 X0 Z0 H5 S5 S5 S5 H5 CNOT5,4 H5 S5 S5 S5 SWAP4,5 H5 CNOT5,3 H5 S3 S3 "
+        "S3 CZ3,5 CZ3,4 CNOT3,5 SWAP3,4 CNOT3,2 H3 S3 S3 S3 CZ2,4 CNOT2,3 H1 S1 S1 S1 H1 CNOT5,1 "
+        "H5 S5 S5 S5 CNOT3,1 CNOT2,1 H2 S1 S1 S1 CZ1,4 CNOT1,5 CNOT1,2 H0 S0 S0 S0 H0 CNOT5,0 "
+        "CNOT4,0 CNOT3,0 CNOT2,0 H2 CNOT1,0 S0 S0 S0 CZ0,4 CZ0,2 CNOT0,5 SWAP0,4",
+    ),
+]
+
+
+def test_decompose_gates_frozen():
+    rng = np.random.default_rng(20261)
+    drawn = {(n, k): random_clifford(n, rng) for n in range(1, 7) for k in range(2)}
+    for n, k, want in DECOMPOSE_FROZEN:
+        got = " ".join(g.kind + ",".join(map(str, g.qubits)) for g in decompose_gates(drawn[n, k]))
+        assert got == want
 
 
 def test_clifford_mapping_z0_frozen_cases():

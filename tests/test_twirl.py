@@ -40,7 +40,6 @@ from twirlkit.paulis import PauliOp, commutes, identity, parse_pauli, random_pau
 from twirlkit.tableau import apply_gates, conjugate, from_gates, gate
 from twirlkit.twirl import (
     SymmetrySpec,
-    TwirlGadget,
     enumerate_sampler_distribution,
     pauli_group_span,
     pauli_subgroup_of_unitary,
@@ -179,13 +178,6 @@ def test_support_bookkeeping():
             assert gdg.support == frozenset({0})
             seen_s_only = True
     assert seen_empty and seen_s_only
-
-
-def test_gadget_serialization_roundtrip():
-    rng = np.random.default_rng(55)
-    gdg = sample_full_twirl_gate(4, rng)
-    back = TwirlGadget.from_dict(gdg.to_dict())
-    assert back == gdg
 
 
 # ---------------------------------------------------------------------------
