@@ -3,11 +3,14 @@
 Exact state evolution for every construct the fast engine handles
 symbolically: unitaries, Pauli-axis rotations at arbitrary angles, structured
 Pauli channels, and full logical circuits including sampled twirl gadgets.
-Every Pauli channel acts through one single-qubit block rule,
-``_pauli_mix_qubit``: structured factors (register depolarization,
-dephasing, the XY pair) apply one fixed mix per qubit, and points and short
-member sums conjugate one letter at a time, so twirled channels stay
-tractable up to the dense cap without expanding every error.
+Clifford unitaries are built one gate at a time as row operations on the
+running matrix, never as full matrix products.  Pauli channels act through
+one single-qubit block rule, ``_pauli_mix_qubit``: dephasing and the XY pair
+apply one fixed mix per qubit, points conjugate one letter at a time, and
+weight-capped member sums run one recursion over the register's qubits.  A
+full register group is one partial trace with the maximally mixed state put
+back.  Equal ensembles of a channel are applied once, so twirled channels
+stay tractable up to the dense cap without expanding every error.
 
 The cap defaults to 10 qubits and can be overridden with the
 ``TWIRLKIT_DENSE_CAP`` environment variable.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import string
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,6 +35,7 @@ from .channels import (
     PointFactor,
     WeightAtMostFactor,
     XYSetFactor,
+    _merged_atoms,
     make_single_qubit_pauli_noise,
 )
 from .circuits import (
@@ -68,7 +73,6 @@ _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _PSD_TOL = -1e-9
 _EAGER_PSD_DIM = 128  # full eigen-check on construction up to this size
-_MEMBER_SUM_CAP = 65536
 
 
 def dense_cap() -> int:
@@ -182,9 +186,9 @@ def _pauli_mix_qubit(mat: np.ndarray, n: int, q: int, probs: tuple[float, float,
 
 
 _LETTER_MIX = {"X": (0, 1, 0, 0), "Y": (0, 0, 1, 0), "Z": (0, 0, 0, 1)}
+_FLIP_MIX = (0, 1, 1, 1)  # Σ σ·mat·σ over the three non-identity letters
 # the per-qubit mix whose product over a register averages the factor's members
 _REGISTER_MIX = {
-    FullGroupFactor: (0.25, 0.25, 0.25, 0.25),
     DiagonalIZFactor: (0.5, 0, 0, 0.5),
     XYSetFactor: (0, 0.5, 0.5, 0),
 }
@@ -205,15 +209,47 @@ def _mix_qubits(mat: np.ndarray, n: int, qubits, probs) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=256)
+def _depolarize_register(mat: np.ndarray, n: int, register: tuple[int, ...]) -> np.ndarray:
+    """tr_R(mat) ⊗ I_R/2^m: the mean of P·mat·P over all 4^m Paulis P on register R.
+
+    On the (2,)*2n tensor view, one einsum traces the register's row and
+    column axes out and a second puts I/2^m back on them.
+    """
+    rows = string.ascii_letters[:n]
+    cols = string.ascii_letters[n : 2 * n]
+    kept = "".join(rows[q] for q in range(n) if q not in register)
+    kept += "".join(cols[q] for q in range(n) if q not in register)
+    traced = "".join(rows[q] if q in register else cols[q] for q in range(n))
+    reduced = np.einsum(f"{rows}{traced}->{kept}", mat.reshape((2,) * 2 * n))
+    m = len(register)
+    eye = np.eye(2**m).reshape((2,) * 2 * m) / 2**m
+    eye_axes = "".join(rows[q] for q in register) + "".join(cols[q] for q in register)
+    return np.einsum(f"{kept},{eye_axes}->{rows}{cols}", reduced, eye).reshape(mat.shape)
+
+
+def _weight_capped_sum(mat: np.ndarray, n: int, register: tuple[int, ...], w: int) -> np.ndarray:
+    """Σ P·mat·P over the Paulis P on the register of weight at most w.
+
+    Runs over the register's qubits keeping the partial sums S_j of weight
+    exactly j: each qubit adds the three non-identity letters to every
+    partial sum of weight j − 1, S_j ← S_j + Σ_σ σ·S_(j−1)·σ, so the whole
+    sum takes at most m·w block mixes however many members there are.
+    """
+    sums = [mat]
+    for q in register:
+        if len(sums) <= w:
+            sums.append(np.zeros_like(mat))
+        for j in range(len(sums) - 1, 0, -1):
+            sums[j] = sums[j] + _pauli_mix_qubit(sums[j - 1], n, q, _FLIP_MIX)
+    return sum(sums[1:], sums[0])
+
+
+_H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)  # H on its own qubit
+
+
 def _gate_unitary(n: int, g: GateSpec) -> np.ndarray:
-    """Dense unitary of one elementary Clifford gate on n qubits (cached)."""
-    mat = _gate_unitary_impl(n, g)
-    mat.setflags(write=False)
-    return mat
-
-
-def _gate_unitary_impl(n: int, g: GateSpec) -> np.ndarray:
+    """Dense unitary of one elementary Clifford gate on n qubits: the reference
+    that the row rule of ``_apply_gate_rows`` is read off."""
     dim = 2**n
     idx = np.arange(dim)
 
@@ -223,10 +259,9 @@ def _gate_unitary_impl(n: int, g: GateSpec) -> np.ndarray:
     kind = g.kind
     if kind == "H":
         q = g.qubits[0]
-        h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
         left = np.eye(2 ** q, dtype=np.complex128)
         right = np.eye(2 ** (n - 1 - q), dtype=np.complex128)
-        return np.kron(np.kron(left, h), right)
+        return np.kron(np.kron(left, _H), right)
     mat = np.zeros((dim, dim), dtype=np.complex128)
     if kind == "S":
         q = g.qubits[0]
@@ -267,11 +302,45 @@ def _gate_unitary_impl(n: int, g: GateSpec) -> np.ndarray:
     raise ValueError(f"unsupported gate kind {kind!r}")
 
 
-@lru_cache(maxsize=64)
-def _clifford_unitary_cached(n: int, gates: tuple[GateSpec, ...]) -> np.ndarray:
+@lru_cache(maxsize=256)
+def _monomial_rows(n: int, g: GateSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, phase) with U[i, cols[i]] = phase[i, 0], read off the gate's unitary.
+
+    Every gate but H has one nonzero per row.  The memo keeps these two
+    vectors, not the 2^n × 2^n matrix.
+    """
+    mat = _gate_unitary(n, g)
+    rows, cols = np.nonzero(mat)
+    if not np.array_equal(rows, np.arange(2**n)):
+        raise ValueError(f"{g.kind} is not a monomial gate")
+    return cols, mat[rows, cols].reshape(-1, 1)
+
+
+def _apply_gate_rows(u: np.ndarray, n: int, g: GateSpec) -> np.ndarray:
+    """_gate_unitary(n, g) @ u as a row operation on u.
+
+    H mixes the row pairs that differ in its qubit by the one-qubit H
+    matrix; every other gate permutes the rows and signs them.
+    """
+    if g.kind == "H":
+        return np.matmul(_H, u.reshape(2 ** g.qubits[0], 2, -1)).reshape(u.shape)
+    cols, phase = _monomial_rows(n, g)
+    out = u.take(cols, axis=0)
+    out *= phase
+    return out
+
+
+def _clifford_product(n: int, gates) -> np.ndarray:
+    """Dense unitary of a gate sequence, one row operation per gate."""
     u = np.eye(2**n, dtype=np.complex128)
     for g in gates:
-        u = _gate_unitary(n, g) @ u
+        u = _apply_gate_rows(u, n, g)
+    return u
+
+
+@lru_cache(maxsize=64)
+def _clifford_unitary_cached(n: int, gates: tuple[GateSpec, ...]) -> np.ndarray:
+    u = _clifford_product(n, gates)
     u.setflags(write=False)
     return u
 
@@ -280,7 +349,7 @@ def clifford_unitary(n: int, gates: tuple[GateSpec, ...]) -> np.ndarray:
     """Dense unitary of a gate sequence (first gate acts first); read-only.
 
     Results are memoized: deep circuits rebuild the same layer frames many
-    times, so repeated gate tuples hit the cache instead of re-multiplying.
+    times, so repeated gate tuples hit the cache instead of being rebuilt.
     """
     _check_cap(n)
     return _clifford_unitary_cached(n, tuple(gates))
@@ -342,17 +411,14 @@ def _apply_ensemble_average(mat: np.ndarray, ensemble: PauliEnsemble) -> np.ndar
             out = _conj_by_pauli(out, n, factor.register, factor.pauli)
         elif type(factor) in _REGISTER_MIX:
             out = _mix_qubits(out, n, factor.register, _REGISTER_MIX[type(factor)])
+        elif isinstance(factor, FullGroupFactor):
+            out = _depolarize_register(out, n, factor.register)
         elif isinstance(factor, FullGroupMinusIdentityFactor):
             m = len(factor.register)
-            dep = _mix_qubits(out, n, factor.register, _REGISTER_MIX[FullGroupFactor])
+            dep = _depolarize_register(out, n, factor.register)
             out = (4**m * dep - out) / (4**m - 1)
         elif isinstance(factor, WeightAtMostFactor):
-            if factor.cardinality > _MEMBER_SUM_CAP:
-                raise ValueError("weight-capped factor too large for a dense member sum")
-            acc = np.zeros_like(out)
-            for member in factor.members_local():
-                acc += _conj_by_pauli(out, n, factor.register, member)
-            out = acc / factor.cardinality
+            out = _weight_capped_sum(out, n, factor.register, factor.max_weight) / factor.cardinality
         else:
             raise ValueError(f"unknown ensemble factor {type(factor).__name__}")
     return out
@@ -360,7 +426,7 @@ def _apply_ensemble_average(mat: np.ndarray, ensemble: PauliEnsemble) -> np.ndar
 
 def _apply_channel_raw(mat: np.ndarray, ch: PauliChannel) -> np.ndarray:
     out = ch.identity_prob * mat
-    for prob, ensemble in ch.atoms:
+    for prob, ensemble in _merged_atoms(ch):
         out = out + prob * _apply_ensemble_average(mat, ensemble)
     return out
 
@@ -605,9 +671,10 @@ def _tv_raw(
             q, r = np.linalg.qr(g)
             u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
         else:
-            u = clifford_unitary(n, tuple(decompose_gates(random_clifford(n, rng))))
-        p = np.einsum("ij,jk,ik->i", u, a, u.conj()).real
-        q_ = np.einsum("ij,jk,ik->i", u, b, u.conj()).real
+            # fresh bases never repeat, so they stay out of the unitary memo
+            u = _clifford_product(n, decompose_gates(random_clifford(n, rng)))
+        p = ((u @ a) * u.conj()).sum(1).real
+        q_ = ((u @ b) * u.conj()).sum(1).real
         vals[i] = 0.5 * float(np.abs(p - q_).sum())
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(num_bases)) if num_bases > 1 else 0.0

@@ -6,6 +6,7 @@ before the package and shares none of its code.  The dense simulator then
 serves as the ground truth for the fast engine's effective fidelities.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -39,7 +40,15 @@ from twirlkit.circuits import (
 )
 from twirlkit.dense import (
     DensityMatrix,
+    _apply_ensemble_average,
+    _apply_gate_rows,
+    _conj_by_pauli,
+    _depolarize_register,
+    _gate_unitary,
+    _mix_qubits,
     _pauli_mix_qubit,
+    _tv_raw,
+    _weight_capped_sum,
     apply_channel,
     apply_rotation,
     apply_unitary,
@@ -54,20 +63,39 @@ from twirlkit.dense import (
     tv_distance_random_bases,
 )
 from twirlkit.paulis import PauliOp, parse_pauli, random_pauli
-from twirlkit.tableau import gate, random_clifford
+from twirlkit.tableau import decompose_gates, gate, random_clifford
 from twirlkit.twirl import SymmetrySpec, enumerate_sampler_distribution, twirl_general_noise
 
 
 def random_gate_list(n, rng, count):
     gates = []
     for _ in range(count):
-        kind = ["H", "S", "X", "Y", "Z", "CNOT", "CZ", "SWAP"][rng.integers(8)]
+        kind = ["H", "S", "X", "Y", "Z", "CNOT", "CZ", "SWAP"][rng.integers(8 if n > 1 else 5)]
         if kind in ("H", "S", "X", "Y", "Z"):
             gates.append(gate(kind, int(rng.integers(n))))
         else:
             a, b = rng.choice(n, size=2, replace=False)
             gates.append(gate(kind, int(a), int(b)))
     return gates
+
+
+def every_gate(n):
+    """Each gate kind on every qubit, every ordered pair, and every MULTICNOT fan."""
+    for q in range(n):
+        for kind in ("H", "S", "X", "Y", "Z"):
+            yield gate(kind, q)
+    for a, b in itertools.permutations(range(n), 2):
+        for kind in ("CNOT", "CZ", "SWAP"):
+            yield gate(kind, a, b)
+    for c in range(n):
+        others = [q for q in range(n) if q != c]
+        for size in range(1, len(others) + 1):
+            for targets in itertools.combinations(others, size):
+                yield gate("MULTICNOT", c, *targets)
+
+
+def random_complex(dim, rng):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +153,30 @@ class TestOperatorConstruction:
         for _ in range(10):
             gates = random_gate_list(4, rng, 8)
             assert np.allclose(clifford_unitary(4, tuple(gates)), gates_to_dense(gates, 4), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_gate_row_rule_matches_gate_matrix_product(self, n):
+        """Row rule against _gate_unitary(n, g) @ u: exact for monomial gates, 1e-15 for H."""
+        u = random_complex(2**n, np.random.default_rng(40 + n))
+        for g in every_gate(n):
+            got = _apply_gate_rows(u, n, g)
+            want = _gate_unitary(n, g) @ u
+            if g.kind == "H":
+                assert np.abs(got - want).max() <= 1e-15, g
+            else:
+                assert np.array_equal(got, want), g
+
+    def test_clifford_unitary_matches_matmul_chain(self):
+        rng = np.random.default_rng(44)
+        for n in (1, 2, 3, 4, 5):
+            for count in (0, 1, 7, 30):
+                gates = random_gate_list(n, rng, count)
+                if n > 2:
+                    gates.append(gate("MULTICNOT", n - 1, 0, 1))
+                chain = np.eye(2**n, dtype=complex)
+                for g in gates:
+                    chain = _gate_unitary(n, g) @ chain
+                assert np.abs(clifford_unitary(n, tuple(gates)) - chain).max() <= 1e-14
 
     def test_circuit_unitary_composes_layers(self):
         rng = np.random.default_rng(3)
@@ -265,6 +317,50 @@ class TestApplyChannel:
                 want += p * (sigma @ m @ sigma.conj().T)
             assert np.abs(_pauli_mix_qubit(m, n, q, probs) - want).max() < 1e-13
 
+    @pytest.mark.parametrize("register", [(1,), (0, 2), (3, 1), (0, 1, 3), (2, 0, 3, 1)])
+    def test_partial_trace_matches_mixes_and_pauli_sum(self, register):
+        """tr_R ⊗ I/2^m against per-qubit (¼, ¼, ¼, ¼) mixes and the explicit 4^m Pauli mean."""
+        n, m = 4, len(register)
+        mat = random_complex(2**n, np.random.default_rng(50 + m))
+        got = _depolarize_register(mat, n, register)
+        mixed = _mix_qubits(mat, n, register, (0.25, 0.25, 0.25, 0.25))
+        assert np.abs(got - mixed).max() < 1e-14
+        want = np.zeros_like(mat)
+        for letters in itertools.product("IXYZ", repeat=m):
+            label = ["I"] * n
+            for q, letter in zip(register, letters):
+                label[q] = letter
+            p = ref.pauli_matrix("".join(label))
+            want += p @ mat @ p.conj().T
+        assert np.abs(got - want / 4**m).max() < 1e-13
+
+    def test_duplicated_ensembles_apply_as_their_atom_sum(self):
+        n = 3
+        rng = np.random.default_rng(52)
+        full = PauliEnsemble(n, (FullGroupMinusIdentityFactor((0, 1, 2)),))
+        xy = PauliEnsemble(n, (XYSetFactor((1,)), FullGroupFactor((0, 2))))
+        atoms = ((0.1, full), (0.05, xy), (0.2, full), (0.07, xy), (0.03, full))
+        rho = DensityMatrix.haar_random_pure(n, rng)
+        got = apply_channel(rho, PauliChannel(n, atoms)).entries
+        want = (1 - sum(p for p, _ in atoms)) * rho.entries
+        for prob, ensemble in atoms:
+            want = want + prob * _apply_ensemble_average(rho.entries, ensemble)
+        assert np.abs(got - want).max() < 1e-15
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_weight_capped_recursion_matches_member_loop(self, k):
+        rng = np.random.default_rng(53 + k)
+        for n, register in [(3, (0, 1, 2)), (4, (0, 2, 3)), (5, (0, 1, 2, 4)), (5, (0, 1, 2, 3, 4))]:
+            if k > len(register):
+                continue
+            factor = WeightAtMostFactor(register, k)
+            mat = random_complex(2**n, rng)
+            want = np.zeros_like(mat)
+            for member in factor.members_local():
+                want += _conj_by_pauli(mat, n, register, member)
+            got = _weight_capped_sum(mat, n, register, k)
+            assert np.abs(got - want).max() < 1e-12 * factor.cardinality
+
     def test_white_noise_commutes_with_unitaries(self):
         rng = np.random.default_rng(11)
         n = 3
@@ -311,6 +407,29 @@ class TestDistances:
             td = trace_distance(a, b)
             mean, _ = tv_distance_random_bases(a, b, 20, rng, haar=haar)
             assert 0.0 < mean <= td + 1e-12
+
+    @pytest.mark.parametrize("haar", [False, True])
+    def test_tv_matches_three_index_einsum(self, haar):
+        """The BLAS diagonal read against diag(U·A·U†) as one three-operand einsum."""
+        n, num_bases = 3, 5
+        rng = np.random.default_rng(55)
+        a = DensityMatrix.haar_random_pure(n, rng).entries
+        b = DensityMatrix.haar_random_pure(n, rng).entries
+        got = _tv_raw(a, b, n, num_bases, np.random.default_rng(56), haar)
+        draws = np.random.default_rng(56)
+        vals = []
+        for _ in range(num_bases):
+            if haar:
+                g = draws.normal(size=(2**n, 2**n)) + 1j * draws.normal(size=(2**n, 2**n))
+                q, r = np.linalg.qr(g)
+                u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+            else:
+                u = clifford_unitary(n, tuple(decompose_gates(random_clifford(n, draws))))
+            p = np.einsum("ij,jk,ik->i", u, a, u.conj()).real
+            q_ = np.einsum("ij,jk,ik->i", u, b, u.conj()).real
+            vals.append(0.5 * np.abs(p - q_).sum())
+        assert abs(got[0] - np.mean(vals)) < 1e-14
+        assert abs(got[1] - np.std(vals, ddof=1) / math.sqrt(num_bases)) < 1e-14
 
     def test_rescaled_white_noise_cancels_exactly(self):
         n, p = 2, 0.25
