@@ -589,49 +589,34 @@ def _ensembles_disjoint(a: PauliEnsemble, b: PauliEnsemble) -> bool | None:
 def _disjoint_pieces(ch: PauliChannel) -> list[tuple[int, float]]:
     """(cardinality, probability) pieces with pairwise-disjoint supports.
 
-    Atoms with the same ensemble merge by adding probabilities.  Distinct
-    atoms proven disjoint stay closed-form; overlapping (or undecidable)
-    clusters are expanded member-by-member and re-aggregated, which requires
-    them to be enumerable.
+    Atoms with the same ensemble merge by adding probabilities.  An atom
+    proven disjoint from every other atom stays one closed-form piece; every
+    other atom is expanded member by member into one mass map, which
+    requires it to be enumerable.  One map serves all overlapping atoms:
+    atoms that do not overlap each other were proven disjoint, so they add
+    mass to different members.
     """
     atoms = _merged_atoms(ch)
-    k = len(atoms)
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            disjoint = _ensembles_disjoint(atoms[i][1], atoms[j][1])
-            if disjoint is not True:
-                parent[find(i)] = find(j)
-    clusters: dict[int, list[int]] = {}
-    for i in range(k):
-        clusters.setdefault(find(i), []).append(i)
-
+    overlapping: set[int] = set()
+    for i in range(len(atoms)):
+        for j in range(i + 1, len(atoms)):
+            if _ensembles_disjoint(atoms[i][1], atoms[j][1]) is not True:
+                overlapping |= {i, j}
     pieces: list[tuple[int, float]] = []
-    for members in clusters.values():
-        if len(members) == 1:
-            prob, ensemble = atoms[members[0]]
+    masses: dict[tuple[int, int], float] = {}
+    for i, (prob, ensemble) in enumerate(atoms):
+        if i not in overlapping:
             pieces.append((ensemble.cardinality, prob))
             continue
-        masses: dict[tuple[int, int], float] = {}
-        for i in members:
-            prob, ensemble = atoms[i]
-            if ensemble.cardinality > _ENUM_CAP:
-                raise ValueError(
-                    "overlapping atoms are too large to merge exactly; "
-                    "restructure the channel into disjoint ensembles"
-                )
-            share = prob / ensemble.cardinality
-            for m in ensemble.members():
-                masses[(m.x, m.z)] = masses.get((m.x, m.z), 0.0) + share
-        pieces.extend((1, mass) for mass in masses.values())
-    return pieces
+        if ensemble.cardinality > _ENUM_CAP:
+            raise ValueError(
+                "overlapping atoms are too large to merge exactly; "
+                "restructure the channel into disjoint ensembles"
+            )
+        share = prob / ensemble.cardinality
+        for m in ensemble.members():
+            masses[(m.x, m.z)] = masses.get((m.x, m.z), 0.0) + share
+    return pieces + [(1, mass) for mass in masses.values()]
 
 
 def distance_v(ch: PauliChannel) -> float:

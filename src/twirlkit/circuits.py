@@ -32,6 +32,11 @@ the weight on its support, reads the same on the copy as after the rotation;
 (3) one gadget is drawn per layer and shot, in walk order, so the random
 stream does not depend on how the gates are replayed.
 
+A rotation layer decides whether it samples (``is_sampled``) and draws its
+own gadgets (``draw_gadget``); a circuit samples when one of its layers does.
+The engine and the dense oracle both ask the layer and keep no mode dispatch
+of their own.
+
 Twirl modes per rotation layer:
 
 * ``none`` — the bare noise channel.
@@ -56,7 +61,8 @@ import numpy as np
 from .channels import PauliChannel, avg_noise_strength, fidelity_batch, make_single_qubit_pauli_noise, unitarity
 from .paulis import PauliOp, _columns, _unpack, _weight, random_paulis
 from .tableau import CliffordOp, GateSpec, _apply_gate, clifford_mapping_z0_to, decompose_gates, from_gates
-from .twirl import SymmetrySpec, sample_full_twirl_gate, sample_ksparse_twirl_gate, twirl_channel, twirl_channel_ksparse
+from .twirl import SymmetrySpec, TwirlGadget, twirl_channel, twirl_channel_ksparse
+from .twirl import sample_full_twirl_gate, sample_ksparse_twirl_gate
 
 __all__ = [
     "RotationLayer",
@@ -178,6 +184,19 @@ class RotationLayer:
     def p_err(self) -> float:
         return sum(self.rates)
 
+    @property
+    def is_sampled(self) -> bool:
+        """Whether the layer draws a scrambling gadget per shot (``full``, ``ksparse``)."""
+        return self.twirl_mode in _SAMPLED_MODES
+
+    def draw_gadget(self, rng: np.random.Generator) -> TwirlGadget:
+        """One scrambling gadget from the sampler of the layer's twirl mode."""
+        if self.twirl_mode == "full":
+            return sample_full_twirl_gate(self.n, rng)
+        if self.twirl_mode == "ksparse":
+            return sample_ksparse_twirl_gate(self.n, self.k, rng)
+        raise ValueError(f"twirl mode {self.twirl_mode!r} draws no gadgets")
+
     @cached_property
     def rotation_kind(self) -> str:
         """How conjugation by the rotation acts on Paulis.
@@ -251,6 +270,11 @@ class LogicalCircuit:
 
     def rotation_layers(self) -> list[RotationLayer]:
         return [layer for layer in self.layers if isinstance(layer, RotationLayer)]
+
+    @property
+    def is_sampled(self) -> bool:
+        """Whether some layer draws gadgets, so that outputs are means over shots."""
+        return any(isinstance(layer, RotationLayer) and layer.is_sampled for layer in self.layers)
 
 
 # ---------------------------------------------------------------------------
@@ -458,19 +482,15 @@ def _rotation_step(
     for g in layer.frame_gates:
         _apply_gate(fx, fz, 0, g)
 
-    mode = layer.twirl_mode
     gadget = None
-    if mode in _SAMPLED_MODES:  # effective_fidelity_batch has checked the rng
-        if mode == "full":
-            gadget = sample_full_twirl_gate(layer.n, rng)
-        else:
-            gadget = sample_ksparse_twirl_gate(layer.n, layer.k, rng)
+    if layer.is_sampled:  # effective_fidelity_batch has checked the rng
+        gadget = layer.draw_gadget(rng)
         _gadget_depolarize(layer.gadget_noise_rate, gadget.support, fx, fz, rows, lam)
         for g in reversed(gadget.gates):
             _apply_gate(fx, fz, 0, g)
 
     x0, z0 = _unpack([fx[0], fz[0]], rows)
-    table = _fidelity_table(layer.n, layer.rates, mode, layer.k)
+    table = _fidelity_table(layer.n, layer.rates, layer.twirl_mode, layer.k)
     letter = x0 + 2 * z0
     if table.ndim == 1:
         lam *= table[letter]
@@ -516,13 +536,6 @@ def _walk(
     return lam
 
 
-def _has_sampled_layers(c: LogicalCircuit) -> bool:
-    return any(
-        isinstance(layer, RotationLayer) and layer.twirl_mode in _SAMPLED_MODES
-        for layer in c.layers
-    )
-
-
 def effective_fidelity_batch(
     c: LogicalCircuit,
     paulis: list[PauliOp],
@@ -547,7 +560,7 @@ def effective_fidelity_batch(
             raise ValueError("observables must be nonidentity")
     xs, zs = _columns(paulis, c.n)
     rows = len(paulis)
-    if not _has_sampled_layers(c):
+    if not c.is_sampled:
         return _walk(c, xs, zs, rows, rng), np.zeros(rows)
     if rng is None:
         raise ValueError("sampled twirl modes need an rng")

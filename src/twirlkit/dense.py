@@ -3,7 +3,11 @@
 Exact state evolution for every construct the fast engine handles
 symbolically: unitaries, Pauli-axis rotations at arbitrary angles, structured
 Pauli channels, and full logical circuits including sampled twirl gadgets.
-Clifford unitaries are built one gate at a time as row operations on the
+A circuit has one ideal path, U·ρ·U† with U from ``circuit_unitary``, and
+one noisy path, a forward pass per shot averaged over the shots when a layer
+draws gadgets; the layers decide whether they sample and draw their own
+gadgets.  In its frame a rotation layer is exp(iθZ₀), applied as one
+elementwise phase.  Clifford unitaries are built one gate at a time as row operations on the
 running matrix, never as full matrix products.  Pauli channels act through
 one single-qubit block rule, ``_pauli_mix_qubit``: dephasing and the XY pair
 apply one fixed mix per qubit, points conjugate one letter at a time, and
@@ -51,7 +55,6 @@ from .circuits import (
 )
 from .paulis import PauliOp
 from .tableau import GateSpec, decompose_gates, random_clifford
-from .twirl import sample_full_twirl_gate, sample_ksparse_twirl_gate
 
 __all__ = [
     "DensityMatrix",
@@ -475,44 +478,30 @@ def tv_distance_random_bases(
 # ---------------------------------------------------------------------------
 
 
-def _noisy_rotation_raw(
-    mat: np.ndarray, layer: RotationLayer, rng: np.random.Generator | None
-) -> np.ndarray:
-    """One forward pass of a noisy rotation layer on a raw matrix."""
+def _noisy_rotation_raw(mat: np.ndarray, layer: RotationLayer, rng: np.random.Generator | None) -> np.ndarray:
+    """One forward pass of a noisy rotation layer on a raw matrix.
+
+    In the frame the rotation is exp(iθZ₀), which is diagonal, so it acts as
+    one elementwise phase.  A drawn gadget rarely repeats, so its unitary is
+    built outside the memo.
+    """
     n = layer.n
     u_v = clifford_unitary(n, layer.frame_gates)
-    rot = _rotation_unitary(n, 0, 1, 0, layer.angle)
+    d = np.diagonal(_rotation_unitary(n, 0, 1, 0, layer.angle))
+    phase = d[:, None] * d.conj()
     out = u_v @ mat @ u_v.conj().T
-    if layer.twirl_mode in ("full", "ksparse"):
-        if rng is None:
-            raise ValueError("sampled twirl modes need an rng")
-        if layer.twirl_mode == "full":
-            gadget = sample_full_twirl_gate(n, rng)
-        else:
-            gadget = sample_ksparse_twirl_gate(n, layer.k, rng)
-        u_d = clifford_unitary(n, tuple(gadget.gates))
+    if layer.is_sampled:
+        gadget = layer.draw_gadget(rng)
+        u_d = _clifford_product(n, gadget.gates)
         rate = layer.gadget_noise_rate
         noisy = gadget.support if rate > 0 else ()
         mix = (1 - rate, rate / 3, rate / 3, rate / 3)
         out = _mix_qubits(u_d.conj().T @ out @ u_d, n, noisy, mix)
-        out = _apply_channel_raw(rot @ out @ rot.conj().T, make_single_qubit_pauli_noise(n, 0, *layer.rates))
+        out = _apply_channel_raw(out * phase, make_single_qubit_pauli_noise(n, 0, *layer.rates))
         out = _mix_qubits(u_d @ out @ u_d.conj().T, n, noisy, mix)
     else:
-        out = _apply_channel_raw(rot @ out @ rot.conj().T, layer_noise_channel(layer))
+        out = _apply_channel_raw(out * phase, layer_noise_channel(layer))
     return u_v.conj().T @ out @ u_v
-
-
-def _ideal_pass(c: LogicalCircuit, mat: np.ndarray) -> np.ndarray:
-    out = mat
-    for layer in c.layers:
-        if isinstance(layer, RotationLayer):
-            axis = layer.axis
-            rot = _rotation_unitary(c.n, axis.x, axis.z, axis.phase, layer.angle)
-            out = rot @ out @ rot.conj().T
-        elif isinstance(layer, CliffordLayer):
-            u = clifford_unitary(c.n, layer.gates)
-            out = u @ out @ u.conj().T
-    return out
 
 
 def _noisy_pass(c: LogicalCircuit, mat: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
@@ -528,6 +517,20 @@ def _noisy_pass(c: LogicalCircuit, mat: np.ndarray, rng: np.random.Generator | N
     return out
 
 
+def _noisy_mean(c: LogicalCircuit, mat: np.ndarray, shots: int, rng: np.random.Generator | None) -> np.ndarray:
+    """The noisy output: one pass, or the mean of ``shots`` passes when layers draw gadgets."""
+    if not c.is_sampled:
+        return _noisy_pass(c, mat, rng)
+    if shots < 1:
+        raise ValueError("need at least one shot")
+    if rng is None:
+        raise ValueError("sampled twirl modes need an rng")
+    acc = np.zeros_like(mat)
+    for _ in range(shots):
+        acc += _noisy_pass(c, mat, rng)
+    return acc / shots
+
+
 def simulate_pair(
     c: LogicalCircuit,
     input_state: DensityMatrix,
@@ -536,27 +539,17 @@ def simulate_pair(
 ) -> tuple[DensityMatrix, DensityMatrix]:
     """Exact (ideal, noisy) output pair for a logical circuit.
 
-    Deterministic twirl modes apply their averaged channels exactly in a
-    single pass; sampled modes Monte-Carlo average the final state over
-    ``shots`` independent gadget draws.
+    The ideal state is U·ρ·U† with U the circuit's unitary.  Deterministic
+    twirl modes apply their averaged channels exactly in a single pass;
+    sampled modes Monte-Carlo average the final state over ``shots``
+    independent gadget draws.
     """
     if input_state.n != c.n:
         raise ValueError("input state dimension mismatch")
     _check_cap(c.n)
-    ideal = _ideal_pass(c, input_state.entries)
-    has_sampled = any(
-        isinstance(layer, RotationLayer) and layer.twirl_mode in ("full", "ksparse")
-        for layer in c.layers
-    )
-    if not has_sampled:
-        noisy = _noisy_pass(c, input_state.entries, rng)
-    else:
-        if shots < 1:
-            raise ValueError("need at least one shot")
-        acc = np.zeros_like(input_state.entries)
-        for _ in range(shots):
-            acc += _noisy_pass(c, input_state.entries, rng)
-        noisy = acc / shots
+    u = circuit_unitary(c)
+    ideal = u @ input_state.entries @ u.conj().T
+    noisy = _noisy_mean(c, input_state.entries, shots, rng)
     return DensityMatrix(c.n, ideal), DensityMatrix(c.n, noisy)
 
 
@@ -580,7 +573,7 @@ def effective_fidelity_dense(
     p_mat = pauli_matrix(p)
     back = u.conj().T @ p_mat @ u
     rho = DensityMatrix(c.n, (np.eye(dim) + back) / dim)
-    _, noisy = simulate_pair(c, rho, shots, rng)
+    noisy = DensityMatrix(c.n, _noisy_mean(c, rho.entries, shots, rng))
     return float(np.trace(p_mat @ noisy.entries).real)
 
 

@@ -357,17 +357,38 @@ def test_distances_match_brute_force():
         assert diamond_distance_normalized(ch) == pytest.approx(d1, abs=1e-12)
 
 
+def _brute_distances(ch):
+    """distance_v, diamond_distance_normalized and unitarity from the expanded channel."""
+    dist = expand(ch)
+    dist.pop(identity(ch.n), None)
+    rest = 4**ch.n - 1 - len(dist)
+    uniform = 1 / (4**ch.n - 1)
+    v2 = sum((p / ch.p_err - uniform) ** 2 for p in dist.values()) + rest * uniform**2
+    d1 = sum(abs(p / ch.p_err - uniform) for p in dist.values()) + rest * uniform
+    lams = [brute_fidelity(ch, PauliOp(ch.n, x, z)) for x in range(2**ch.n) for z in range(2**ch.n) if x or z]
+    return math.sqrt(v2), d1, float(np.mean(np.square(lams)))
+
+
 def test_distances_merge_overlapping_atoms():
     # the point mass X on qubit 0 is also a member of the group-minus-identity atom
     e1 = point_ensemble(parse_pauli("XI"))
     e2 = PauliEnsemble(2, (FullGroupMinusIdentityFactor((0, 1)),))
     ch = PauliChannel(2, ((0.1, e1), (0.3, e2)))
-    dist = expand(ch)
-    dist.pop(identity(2), None)
-    uniform = 1 / 15
-    v2 = sum((p / ch.p_err - uniform) ** 2 for p in dist.values())
-    v2 += (15 - len(dist)) * uniform**2
-    assert distance_v(ch) == pytest.approx(math.sqrt(v2), abs=1e-12)
+    assert distance_v(ch) == pytest.approx(_brute_distances(ch)[0], abs=1e-12)
+
+    # two overlapping clusters, disjoint from each other, and one atom disjoint from both:
+    # {XII} ⊂ {XII, YII} and {IZI} ⊂ I ⊗ (nonidentity on qubits 1, 2), then {ZII}
+    ident = PointFactor((0,), parse_pauli("I"))
+    a_point = point_ensemble(parse_pauli("XII"))
+    a_set = PauliEnsemble(3, (XYSetFactor((0,)), PointFactor((1, 2), parse_pauli("II"))))
+    b_point = point_ensemble(parse_pauli("IZI"))
+    b_set = PauliEnsemble(3, (ident, FullGroupMinusIdentityFactor((1, 2))))
+    lone = point_ensemble(parse_pauli("ZII"))
+    ch = PauliChannel(3, ((0.02, a_point), (0.03, b_point), (0.05, lone), (0.04, a_set), (0.06, b_set)))
+    v, d1, u = _brute_distances(ch)
+    assert distance_v(ch) == pytest.approx(v, abs=1e-12)
+    assert diamond_distance_normalized(ch) == pytest.approx(d1, abs=1e-12)
+    assert unitarity(ch) == pytest.approx(u, abs=1e-12)
 
 
 def test_distance_undefined_for_noiseless():

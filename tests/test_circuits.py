@@ -54,7 +54,13 @@ from twirlkit.tableau import (
     inverse,
     random_clifford,
 )
-from twirlkit.twirl import enumerate_sampler_distribution, twirl_channel, twirl_channel_ksparse
+from twirlkit.twirl import (
+    enumerate_sampler_distribution,
+    sample_full_twirl_gate,
+    sample_ksparse_twirl_gate,
+    twirl_channel,
+    twirl_channel_ksparse,
+)
 from twirlkit.twirl import SymmetrySpec
 
 
@@ -535,6 +541,31 @@ class TestSampledTwirl:
         c = build_trotter_circuit(heisenberg_1d(3), 1, 0.1, base_noise=noise, twirl_mode="full")
         with pytest.raises(ValueError):
             effective_fidelity(c, parse_pauli("XII"), shots=10, rng=None)
+
+    @pytest.mark.parametrize(
+        "n, mode, k", [(1, "full", None), (4, "full", None), (3, "ksparse", 1), (4, "ksparse", 2), (5, "ksparse", 3)]
+    )
+    def test_draw_gadget_matches_the_samplers(self, n, mode, k):
+        layer = RotationLayer(PauliOp(n, 0, 1), 0.3, rz_axis_noise(0.01, 0.01, 0.01), mode, k)
+        for seed in range(20):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = layer.draw_gadget(got_rng)
+            want = sample_full_twirl_gate(n, want_rng) if mode == "full" else sample_ksparse_twirl_gate(n, k, want_rng)
+            assert got.gates == want.gates and got.support == want.support
+            assert got_rng.random() == want_rng.random()  # the same draws were consumed
+
+    def test_sampled_flags(self):
+        noise = rz_axis_noise(0.01, 0.01, 0.01)
+        modes = (("none", None), ("analytic_full", None), ("analytic_ksparse", 2), ("full", None), ("ksparse", 2))
+        for mode, k in modes:
+            layer = RotationLayer(parse_pauli("XX"), 0.3, noise, mode, k)
+            sampled = mode in ("full", "ksparse")
+            assert layer.is_sampled == sampled
+            assert LogicalCircuit(2, (NoiseLayer(make_white_noise(2, 0.1)), layer)).is_sampled == sampled
+            if not sampled:
+                with pytest.raises(ValueError):
+                    layer.draw_gadget(np.random.default_rng(0))
+        assert not LogicalCircuit(2, (NoiseLayer(make_white_noise(2, 0.1)),)).is_sampled
 
 
 # ---------------------------------------------------------------------------

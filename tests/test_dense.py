@@ -42,6 +42,7 @@ from twirlkit.dense import (
     DensityMatrix,
     _apply_ensemble_average,
     _apply_gate_rows,
+    _clifford_unitary_cached,
     _conj_by_pauli,
     _depolarize_register,
     _gate_unitary,
@@ -486,6 +487,54 @@ class TestSimulatePair:
         ideal, noisy = simulate_pair(c, rho)
         ideal.validate()
         noisy.validate()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ideal_state_matches_reference_product(self, n):
+        # the reference unitary is built from helpers.py alone; noise layers add nothing to it
+        rng = np.random.default_rng(30 + n)
+        noise = rz_axis_noise(0.02, 0.01, 0.03)
+        for _ in range(3):
+            layers, want = [], np.eye(2**n, dtype=complex)
+            for kind in rng.integers(3, size=7):
+                if kind == 0:
+                    layers.append(CliffordLayer(random_clifford(n, rng)))
+                    want = gates_to_dense(layers[-1].gates, n) @ want
+                elif kind == 1:
+                    axis = random_pauli(n, exclude_identity=True, rng=rng)
+                    angle = float(rng.uniform(0, 2 * math.pi))
+                    mode = ["none", "analytic_full", "full"][rng.integers(3)]
+                    layers.append(RotationLayer(axis, angle, noise, mode))
+                    want = (math.cos(angle) * np.eye(2**n) + 1j * math.sin(angle) * pauli_dense(axis)) @ want
+                else:
+                    layers.append(NoiseLayer(make_white_noise(n, 0.05)))
+            rho = DensityMatrix.haar_random_pure(n, rng)
+            ideal, _ = simulate_pair(LogicalCircuit(n, tuple(layers)), rho, rng=rng)
+            assert np.abs(ideal.entries - want @ rho.entries @ want.conj().T).max() < 1e-12
+
+    @pytest.mark.parametrize("seed, mode, k", [(40, "full", None), (41, "full", None), (42, "ksparse", 2)])
+    def test_effective_fidelity_dense_reads_the_noisy_state(self, seed, mode, k):
+        n = 3
+        noise = rz_axis_noise(0.04, 0.03, 0.02)
+        c = build_trotter_circuit(
+            heisenberg_1d(n), 1, 0.3, base_noise=noise, twirl_mode=mode, k=k, gadget_noise_rate=0.02
+        )
+        p = random_pauli(n, exclude_identity=True, rng=np.random.default_rng(seed))
+        u, p_mat = circuit_unitary(c), pauli_dense(p)
+        rho = DensityMatrix(n, (np.eye(2**n) + u.conj().T @ p_mat @ u) / 2**n)
+        _, noisy = simulate_pair(c, rho, 5, np.random.default_rng(seed))
+        want = np.trace(p_mat @ noisy.entries).real
+        assert abs(effective_fidelity_dense(c, p, 5, np.random.default_rng(seed)) - want) < 1e-12
+
+    def test_drawn_gadgets_stay_out_of_the_unitary_memo(self):
+        noise = rz_axis_noise(0.04, 0.03, 0.02)
+        c = build_trotter_circuit(heisenberg_1d(3), 1, 0.3, base_noise=noise, twirl_mode="full")
+        rho = DensityMatrix.haar_random_pure(3, np.random.default_rng(43))
+        sizes = []
+        for shots in (1, 20):
+            _clifford_unitary_cached.cache_clear()
+            simulate_pair(c, rho, shots, np.random.default_rng(44))
+            sizes.append(_clifford_unitary_cached.cache_info().currsize)
+        assert sizes[1] <= sizes[0]
 
 
 def random_clifford_circuit(n, rng, rotations, mode=None, k=None):
