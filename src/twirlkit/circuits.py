@@ -35,7 +35,9 @@ stream does not depend on how the gates are replayed.
 A rotation layer decides whether it samples (``is_sampled``) and draws its
 own gadgets (``draw_gadget``); a circuit samples when one of its layers does.
 The engine and the dense oracle both ask the layer and keep no mode dispatch
-of their own.
+of their own.  The CLI and the dense scan call the mode and budget rules
+here too: ``_check_twirl_mode``, ``_draws_gadgets``, ``_frame_channel`` (the
+channel each mode averages to) and ``_resolve_rates`` (the split of p_tot).
 
 Twirl modes per rotation layer:
 
@@ -58,7 +60,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .channels import PauliChannel, avg_noise_strength, fidelity_batch, make_single_qubit_pauli_noise, unitarity
+from .channels import _PROB_TOL, PauliChannel, avg_noise_strength, fidelity_batch, make_single_qubit_pauli_noise, unitarity
 from .paulis import PauliOp, _columns, _unpack, _weight, random_paulis
 from .tableau import CliffordOp, GateSpec, _apply_gate, clifford_mapping_z0_to, decompose_gates, from_gates
 from .twirl import SymmetrySpec, TwirlGadget, twirl_channel, twirl_channel_ksparse
@@ -89,7 +91,43 @@ __all__ = [
 
 TWIRL_MODES = ("none", "full", "ksparse", "analytic_full", "analytic_ksparse")
 _SAMPLED_MODES = ("full", "ksparse")
+_SPARSE_MODES = ("ksparse", "analytic_ksparse")
 _ANGLE_TOL = 1e-9
+
+
+def _draws_gadgets(mode: str) -> bool:
+    """Whether a layer in this twirl mode draws a scrambling gadget per shot."""
+    return mode in _SAMPLED_MODES
+
+
+def _check_twirl_mode(mode: str, k: int | None, n: int, gadget_noise_rate: float = 0.0) -> None:
+    """Raise ValueError unless a rotation layer on n qubits takes these twirl settings."""
+    if mode not in TWIRL_MODES:
+        raise ValueError(f"unknown twirl mode {mode!r}")
+    if mode in _SPARSE_MODES:
+        if k is None or not 1 <= k <= n:
+            raise ValueError(f"mode {mode} needs 1 <= k <= {n}")
+    elif k is not None:
+        raise ValueError(f"mode {mode} does not take k")
+    if not 0.0 <= gadget_noise_rate <= 1.0:
+        raise ValueError("gadget noise rate must lie in [0, 1]")
+    if gadget_noise_rate > 0 and not _draws_gadgets(mode):
+        raise ValueError(f"gadget noise needs a sampled twirl mode, not {mode}")
+
+
+def _resolve_rates(weights: tuple, p_tot: float | None, num_layers: int) -> tuple[float, float, float]:
+    """Per-layer (px, py, pz): the weights as absolute rates, or w/Σw·(p_tot/L) over L layers."""
+    total = sum(weights)
+    if p_tot is None:
+        if total > 1 + _PROB_TOL:
+            raise ValueError(f"noise rates {tuple(weights)} sum to more than probability 1")
+        return tuple(weights)
+    if total == 0 and p_tot > 0:
+        raise ValueError("p_tot > 0 needs at least one nonzero noise weight")
+    per_layer = p_tot / num_layers
+    if per_layer > 1:
+        raise ValueError(f"p_tot spread over {num_layers} layers exceeds probability 1")
+    return tuple(w / total * per_layer for w in weights) if total else (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +172,7 @@ class RotationLayer:
         angle: Rotation parameter in radians; π/4 makes the layer Clifford.
         base_noise: Single-qubit Pauli channel acting at frame qubit 0,
             i.e. on the ``Z`` axis the rotation is conjugated into.
-        twirl_mode: One of ``none``, ``full``, ``ksparse``, ``analytic_full``,
-            ``analytic_ksparse``.
+        twirl_mode: One of ``TWIRL_MODES``.
         k: Support cap for the sparse modes (required there, else None).
         gadget_noise_rate: Local depolarizing rate applied per supported
             qubit after each of the two scrambling-gadget placements
@@ -154,17 +191,7 @@ class RotationLayer:
             raise ValueError("rotation axis must carry a +1 sign")
         if self.axis.x == 0 and self.axis.z == 0:
             raise ValueError("rotation axis must be nonidentity")
-        if self.twirl_mode not in TWIRL_MODES:
-            raise ValueError(f"unknown twirl mode {self.twirl_mode!r}")
-        needs_k = self.twirl_mode in ("ksparse", "analytic_ksparse")
-        if needs_k and (self.k is None or not 1 <= self.k <= self.axis.n):
-            raise ValueError("sparse twirl modes need 1 <= k <= n")
-        if not needs_k and self.k is not None:
-            raise ValueError("k is only meaningful for the sparse twirl modes")
-        if not 0.0 <= self.gadget_noise_rate <= 1.0:
-            raise ValueError("gadget noise rate must lie in [0, 1]")
-        if self.gadget_noise_rate > 0 and self.twirl_mode.startswith("analytic"):
-            raise ValueError("analytic twirl modes assume noiseless gadgets")
+        _check_twirl_mode(self.twirl_mode, self.k, self.axis.n, self.gadget_noise_rate)
         _point_rates(self.base_noise)  # validates shape
 
     @property
@@ -184,10 +211,10 @@ class RotationLayer:
     def p_err(self) -> float:
         return sum(self.rates)
 
-    @property
+    @cached_property
     def is_sampled(self) -> bool:
         """Whether the layer draws a scrambling gadget per shot (``full``, ``ksparse``)."""
-        return self.twirl_mode in _SAMPLED_MODES
+        return _draws_gadgets(self.twirl_mode)
 
     def draw_gadget(self, rng: np.random.Generator) -> TwirlGadget:
         """One scrambling gadget from the sampler of the layer's twirl mode."""
@@ -608,7 +635,7 @@ def _fidelity_table(n: int, rates: tuple[float, float, float], mode: str, k: int
     Tables whose weight columns agree (bare noise) are cut to the letter
     column.  Sampled modes draw their gadgets in the walk: bare noise too.
     """
-    if mode in _SAMPLED_MODES:
+    if _draws_gadgets(mode):
         mode, k = "none", None
     rest = [((1 << t) - 1) << 1 for t in range(n)]  # X on qubits 1..t
     probes = [PauliOp(n, (letter & 1) | r, letter >> 1) for letter in range(4) for r in rest]

@@ -18,6 +18,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration error, 3 dense-cap exceeded,
 1 internal failure.
+
+The twirl-mode and noise-budget rules live in ``circuits``; ``_config_rules``
+reports their ValueError as a configuration error.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,6 +51,10 @@ from .channels import (
     unitarity,
 )
 from .circuits import (
+    _check_twirl_mode,
+    _draws_gadgets,
+    _frame_channel,
+    _resolve_rates,
     average_bias,
     build_trotter_circuit,
     corollary_bound,
@@ -63,12 +71,7 @@ from .circuits import (
     whitenoise_bias_bound,
 )
 from .paulis import PauliOp
-from .twirl import (
-    SymmetrySpec,
-    enumerate_sampler_distribution,
-    twirl_channel,
-    twirl_channel_ksparse,
-)
+from .twirl import TwirlGadget, enumerate_sampler_distribution
 
 
 class ConfigError(Exception):
@@ -77,6 +80,15 @@ class ConfigError(Exception):
 
 class CapExceededError(Exception):
     """A request beyond the dense simulator's qubit cap; exit code 3."""
+
+
+@contextmanager
+def _config_rules():
+    """Report a ValueError from a rule call (never a simulation) as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -187,33 +199,14 @@ def _build_model(name: str, size):
     return _MODEL_BUILDERS[name](size[0], size[1])
 
 
-def _resolve_rates(noise: dict | None, p_tot, num_layers: int) -> tuple[float, float, float]:
-    """Per-layer (px, py, pz): absolute if no budget, else weights scaled to p_tot."""
-    noise = noise or {}
-    w = (noise.get("px", 0.0), noise.get("py", 0.0), noise.get("pz", 0.0))
-    if p_tot is None:
-        return w
-    total = sum(w)
-    if total == 0:
-        if p_tot == 0:
-            return (0.0, 0.0, 0.0)
-        raise ConfigError("p_tot > 0 needs at least one nonzero noise weight")
-    per_layer = p_tot / num_layers
-    if per_layer > 1:
-        raise ConfigError(f"p_tot spread over {num_layers} layers exceeds probability 1")
-    return tuple(v / total * per_layer for v in w)
+def _noise_weights(config: dict, default: tuple) -> tuple:
+    """The config's noise (px, py, pz), a missing key read as 0; ``default`` if absent or empty."""
+    noise = config.get("noise")
+    return tuple(noise.get(key, 0.0) for key in ("px", "py", "pz")) if noise else default
 
 
 def _mode_label(mode: str, k: int | None) -> str:
     return f"{mode}:{k}" if k is not None else mode
-
-
-def _check_mode_k(mode: str, k: int | None, n: int) -> None:
-    sparse = mode in ("ksparse", "analytic_ksparse")
-    if sparse and (k is None or not 1 <= k <= n):
-        raise ConfigError(f"mode {mode} needs 1 <= k <= {n}")
-    if not sparse and k is not None:
-        raise ConfigError(f"mode {mode} does not take k")
 
 
 def _layer_distance_v(circuit) -> float:
@@ -236,21 +229,19 @@ def _bias_grid_scan(config: dict, sha: str, seed: int, threads: int, grid: list)
     clifford_sim = config.get("clifford_sim", True)
     num_paulis = config.get("num_paulis", 1000)
     shots = config.get("shots", 1000)
+    weights = _noise_weights(config, (0.0, 0.0, 0.0))
 
     def work(i: int) -> list:
         size, mode_cfg, ratio = grid[i]
         start = time.perf_counter()
         model = _build_model(config["model"], size)
         mode, k = mode_cfg["mode"], mode_cfg.get("k")
-        _check_mode_k(mode, k, model.n_qubits)
-        rates = _resolve_rates(config.get("noise"), config.get("p_tot"), steps * len(model.terms()))
-        p_err = sum(rates)
-        if ratio is None:
-            sweep_gadget = config.get("gadget_noise_rate", 0.0)
-        else:
-            sweep_gadget = ratio * p_err
-        # only sampled modes insert gadgets, so only they can suffer gadget noise
-        gadget = sweep_gadget if mode in ("full", "ksparse") else 0.0
+        with _config_rules():
+            rates = _resolve_rates(weights, config.get("p_tot"), steps * len(model.terms()))
+            sweep_gadget = config.get("gadget_noise_rate", 0.0) if ratio is None else ratio * sum(rates)
+            # only sampled modes insert gadgets, so only they can suffer gadget noise
+            gadget = sweep_gadget if _draws_gadgets(mode) else 0.0
+            _check_twirl_mode(mode, k, model.n_qubits, gadget)
         circuit = build_trotter_circuit(
             model,
             steps,
@@ -328,11 +319,12 @@ def cmd_overhead(config: dict, sha: str, seed: int, out_dir: Path, threads: int)
 
 def cmd_wn_bound(config: dict, sha: str, seed: int, out_dir: Path, threads: int) -> tuple[list, list]:
     p_tot = config["p_tot"]
-    noise = config.get("noise") or {"px": 1.0, "py": 1.0, "pz": 1.0}
+    weights = _noise_weights(config, (1.0, 1.0, 1.0))
     rows = []
     for n in config["n_list"]:
         for depth in config["num_layers"]:
-            rates = _resolve_rates(noise, p_tot, depth)
+            with _config_rules():
+                rates = _resolve_rates(weights, p_tot, depth)
             p_err = sum(rates)
             if p_err > 0:
                 ch = make_single_qubit_pauli_noise(n, 0, *rates)
@@ -356,11 +348,16 @@ def cmd_distance_scan(config: dict, sha: str, seed: int, out_dir: Path, threads:
             f"n = {biggest} exceeds the dense-simulator cap of {dense_cap()} "
             "(override with TWIRLKIT_DENSE_CAP)"
         )
-    noise = config.get("noise") or {}
-    weights = (noise.get("px", 1.0), noise.get("py", 1.0), noise.get("pz", 1.0))
+    weights = _noise_weights(config, (1.0, 1.0, 1.0))
     mode = config.get("twirl_mode", "analytic_full")
     k = config.get("k")
-    _check_mode_k(mode, k, min(config["n_list"]))
+    model_builder = heisenberg_1d
+    with _config_rules():
+        for n in config["n_list"]:
+            model = model_builder(n)
+            _check_twirl_mode(mode, k, model.n_qubits)
+            for steps in config["t_list"]:
+                _resolve_rates(weights, config["p_tot"], steps * len(model.terms()))
     result = rescaled_distance_scan(
         config["n_list"],
         config["t_list"],
@@ -369,6 +366,7 @@ def cmd_distance_scan(config: dict, sha: str, seed: int, out_dir: Path, threads:
         config.get("num_inputs", 3),
         config.get("num_bases", 10),
         np.random.default_rng(np.random.SeedSequence(seed)),
+        model_builder=model_builder,
         noise_weights=weights,
         twirl_mode=mode,
         k=k,
@@ -395,18 +393,8 @@ def cmd_distance_scan(config: dict, sha: str, seed: int, out_dir: Path, threads:
 # ---------------------------------------------------------------------------
 
 
-def _exact_mass_map(ch: PauliChannel) -> dict[PauliOp, Fraction]:
-    """Member → exact probability mass (float atom probabilities made rational)."""
-    out: dict[PauliOp, Fraction] = {}
-    for prob, ensemble in ch.atoms:
-        share = Fraction(prob) / ensemble.cardinality
-        for member in ensemble.members():
-            out[member] = out.get(member, Fraction(0)) + share
-    return out
-
-
-def _sampler_mass_map(ch: PauliChannel, dist) -> dict[PauliOp, Fraction]:
-    """Exact mass map of D·P·D† over the enumerated gadget distribution."""
+def _mass_map(ch: PauliChannel, dist) -> dict[PauliOp, Fraction]:
+    """Exact mass map of D·P·D† over a gadget distribution (float atom probabilities made rational)."""
     out: dict[PauliOp, Fraction] = {}
     for prob, ensemble in ch.atoms:
         share = Fraction(prob) / ensemble.cardinality
@@ -419,24 +407,17 @@ def _sampler_mass_map(ch: PauliChannel, dist) -> dict[PauliOp, Fraction]:
 
 def cmd_twirl_verify(config: dict, sha: str) -> int:
     n, mode, k = config["n"], config["mode"], config.get("k")
-    _check_mode_k(mode, k, n)
-    noise = config.get("noise") or {"px": 1.0}
-    rates = (noise.get("px", 0.0), noise.get("py", 0.0), noise.get("pz", 0.0))
-    base = make_single_qubit_pauli_noise(n, 0, *rates)
+    with _config_rules():
+        _check_twirl_mode(mode, k, n)
+        rates = _resolve_rates(_noise_weights(config, (1.0, 0.0, 0.0)), None, 1)
+    base = _frame_channel(n, rates, "none", None)
+    analytic = _frame_channel(n, rates, mode, k)
+    dist = enumerate_sampler_distribution(n, mode, k)
 
-    if mode == "full":
-        analytic = twirl_channel(base, SymmetrySpec.rz_first_qubit(n))
-        dist = enumerate_sampler_distribution(n, "full")
-    else:
-        analytic = twirl_channel_ksparse(base, k)
-        dist = enumerate_sampler_distribution(n, "ksparse", k)
-
-    sampled = _sampler_mass_map(base, dist)
-    expected = _exact_mass_map(analytic)
-    discrepancy = Fraction(0)
-    for pauli in set(sampled) | set(expected):
-        gap = abs(sampled.get(pauli, Fraction(0)) - expected.get(pauli, Fraction(0)))
-        discrepancy = max(discrepancy, gap)
+    sampled = _mass_map(base, dist)
+    expected = _mass_map(analytic, [(Fraction(1), TwirlGadget(n, (), frozenset()))])
+    gaps = (abs(sampled.get(p, Fraction(0)) - expected.get(p, Fraction(0))) for p in sampled.keys() | expected.keys())
+    discrepancy = max(gaps, default=Fraction(0))
 
     label = _mode_label(mode, k)
     print(f"twirl-verify: n={n} mode={label} rates={rates} config={sha[:12]}")
@@ -518,7 +499,7 @@ def error_budget(b: BudgetInput) -> dict[str, float]:
 
 
 def cmd_budget(config: dict, sha: str) -> int:
-    try:
+    with _config_rules():
         budget = BudgetInput(
             p_phys=config["p_phys"],
             p_th=config["p_th"],
@@ -529,8 +510,6 @@ def cmd_budget(config: dict, sha: str) -> int:
             p_rot=config.get("p_rot", 0.0),
             rotation_count=config.get("rotation_count", 0),
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     print(json.dumps(error_budget(budget), indent=2))
     return 0
 

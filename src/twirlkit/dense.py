@@ -40,13 +40,14 @@ from .channels import (
     WeightAtMostFactor,
     XYSetFactor,
     _merged_atoms,
-    make_single_qubit_pauli_noise,
 )
 from .circuits import (
     CliffordLayer,
     LogicalCircuit,
     NoiseLayer,
     RotationLayer,
+    _frame_channel,
+    _resolve_rates,
     build_trotter_circuit,
     heisenberg_1d,
     layer_noise_channel,
@@ -482,8 +483,8 @@ def _noisy_rotation_raw(mat: np.ndarray, layer: RotationLayer, rng: np.random.Ge
     """One forward pass of a noisy rotation layer on a raw matrix.
 
     In the frame the rotation is exp(iθZ₀), which is diagonal, so it acts as
-    one elementwise phase.  A drawn gadget rarely repeats, so its unitary is
-    built outside the memo.
+    one elementwise phase.  A sampled layer wraps its bare noise channel in a
+    drawn gadget, built outside the memo because it rarely repeats.
     """
     n = layer.n
     u_v = clifford_unitary(n, layer.frame_gates)
@@ -497,10 +498,12 @@ def _noisy_rotation_raw(mat: np.ndarray, layer: RotationLayer, rng: np.random.Ge
         noisy = gadget.support if rate > 0 else ()
         mix = (1 - rate, rate / 3, rate / 3, rate / 3)
         out = _mix_qubits(u_d.conj().T @ out @ u_d, n, noisy, mix)
-        out = _apply_channel_raw(out * phase, make_single_qubit_pauli_noise(n, 0, *layer.rates))
-        out = _mix_qubits(u_d @ out @ u_d.conj().T, n, noisy, mix)
+        channel = _frame_channel(n, layer.rates, "none", None)
     else:
-        out = _apply_channel_raw(out * phase, layer_noise_channel(layer))
+        channel = layer_noise_channel(layer)
+    out = _apply_channel_raw(out * phase, channel)
+    if layer.is_sampled:
+        out = _mix_qubits(u_d @ out @ u_d.conj().T, n, noisy, mix)
     return u_v.conj().T @ out @ u_v
 
 
@@ -600,13 +603,12 @@ def rescaled_distance_scan(
     """Distances between the ideal state and the rescaled noisy state.
 
     For each (n, T): builds the model's Trotter circuit with every rotation
-    angle equal to ``theta``, splits the total error budget evenly over the
-    layers, and compares ρ_ideal against R·ρ_noisy + (1−R)·I/2^n over
-    Haar-random pure inputs — by trace distance and by measured
-    total-variation distance over random bases.
+    angle equal to ``theta``, splits p_tot over the layers with
+    ``circuits._resolve_rates``, and compares ρ_ideal against
+    R·ρ_noisy + (1−R)·I/2^n over Haar-random pure inputs, by trace distance
+    and by measured total-variation distance over random bases.
     """
     rows = []
-    wsum = sum(noise_weights)
     for n in n_list:
         model = model_builder(n)
         for t in t_list:
@@ -614,7 +616,7 @@ def rescaled_distance_scan(
                 raise ValueError("need at least one Trotter step")
             num_layers = t * len(model.terms())
             p_err = p_tot / num_layers
-            rates = tuple(p_err * w / wsum for w in noise_weights)
+            rates = _resolve_rates(noise_weights, p_tot, num_layers)
             c = build_trotter_circuit(
                 model, t, theta, base_noise=rz_axis_noise(*rates), twirl_mode=twirl_mode, k=k
             )

@@ -190,21 +190,19 @@ def sample_ksparse_twirl_gate(n: int, k: int, rng: np.random.Generator) -> Twirl
 def enumerate_sampler_distribution(
     n: int, mode: str = "full", k: int | None = None
 ) -> list[tuple[Fraction, TwirlGadget]]:
-    """The exact finite outcome distribution of either sampler (rational weights)."""
+    """The exact finite outcome distribution of either sampler (rational weights).
+
+    The full sampler's spread-set weight (3/4)^j·(1/4)^(n−1−j) is the k-sparse one at k = n.
+    """
     m = n - 1
     if mode == "full":
-        count = sum(math.comb(m, j) * 24**j for j in range(m + 1)) * 2
-        subset_weight = lambda j: Fraction(3, 4) ** j * Fraction(1, 4) ** (m - j)
-        max_size = m
-    elif mode == "ksparse":
-        if k is None or not 1 <= k <= n:
-            raise ValueError("ksparse mode needs k in [1, n]")
-        total = sum(3**j * math.comb(m, j) for j in range(k))
-        count = sum(math.comb(m, j) * 24**j for j in range(k)) * 2
-        subset_weight = lambda j: Fraction(3**j, total)
-        max_size = k - 1
-    else:
+        k = n
+    elif mode != "ksparse":
         raise ValueError(f"unknown mode {mode!r}")
+    if k is None or not 1 <= k <= n:
+        raise ValueError("ksparse mode needs k in [1, n]")
+    total = sum(3**j * math.comb(m, j) for j in range(k))
+    count = sum(math.comb(m, j) * 24**j for j in range(k)) * 2
     if count > _ENUMERATION_CAP:
         raise ValueError(f"enumeration would produce {count} gadgets (cap {_ENUMERATION_CAP})")
 
@@ -212,9 +210,9 @@ def enumerate_sampler_distribution(
     others = list(range(1, n))
     for mask in range(1 << m):
         targets = tuple(others[i] for i in range(m) if mask >> i & 1)
-        if len(targets) > max_size:
+        if len(targets) >= k:
             continue
-        base = subset_weight(len(targets)) * Fraction(1, 24) ** len(targets) * Fraction(1, 2)
+        base = Fraction(3 ** len(targets), total) * Fraction(1, 24) ** len(targets) * Fraction(1, 2)
         for local_indices in iproduct(range(24), repeat=len(targets)):
             for s_fired in (False, True):
                 out.append((base, _assemble_gadget(n, targets, tuple(local_indices), s_fired)))

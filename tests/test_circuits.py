@@ -175,6 +175,8 @@ class TestLayerValidation:
             RotationLayer(axis, 0.1, rz_axis_noise(0, 0, 0), "none", k=2)
         with pytest.raises(ValueError):
             RotationLayer(axis, 0.1, rz_axis_noise(0, 0, 0), "analytic_full", gadget_noise_rate=0.1)
+        with pytest.raises(ValueError, match="sampled twirl mode"):
+            RotationLayer(axis, 0.1, rz_axis_noise(0, 0, 0), "none", gadget_noise_rate=0.1)
 
     def test_noise_must_be_single_qubit_points(self):
         with pytest.raises(ValueError):

@@ -9,11 +9,13 @@ import csv
 import hashlib
 import json
 import subprocess
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 import twirlkit.cli
+from twirlkit.circuits import TWIRL_MODES, _draws_gadgets
 from twirlkit.cli import (
     BudgetInput,
     ConfigError,
@@ -160,6 +162,27 @@ class TestConfigLoading:
             "manifest",
         ):
             jsonschema.Draft202012Validator.check_schema(_schema(name))
+
+    def test_mode_enums_stay_on_the_mode_table(self):
+        def mode_enums(node):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    if key in ("mode", "twirl_mode"):
+                        yield tuple(value["enum"])
+                    yield from mode_enums(value)
+            elif isinstance(node, list):
+                for value in node:
+                    yield from mode_enums(value)
+
+        enums = {}
+        for path in sorted((Path(twirlkit.cli.__file__).parent / "schemas").glob("*.json")):
+            for modes in mode_enums(json.loads(path.read_text())):
+                assert set(modes) <= set(TWIRL_MODES), path.name
+                enums[path.stem] = set(modes)
+        sampled = {mode for mode in TWIRL_MODES if _draws_gadgets(mode)}
+        assert enums["gadget_scan"] <= sampled | {"none"}
+        assert not enums["distance_scan"] & sampled
+        assert enums["twirl_verify"] == sampled
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +410,45 @@ class TestDistanceScan:
             tmp_path, "big.json", {"n_list": [99], "t_list": [1], "theta": 0.3, "p_tot": 0.1}
         )
         assert main(["distance-scan", "--config", big, "--out", str(out)]) == 3
+
+    def test_missing_noise_key_reads_as_zero(self, tmp_path):
+        columns = []
+        for name, noise in (("short", {"px": 1}), ("long", {"px": 1, "py": 0, "pz": 0})):
+            doc = {"n_list": [2, 3], "t_list": [1], "theta": 0.3, "p_tot": 0.4, "num_inputs": 1,
+                   "num_bases": 1, "noise": noise, "seed": 2}
+            out = tmp_path / name
+            assert main(["distance-scan", "--config", write_config(tmp_path, f"{name}.json", doc), "--out", str(out)]) == 0
+            header, rows = read_csv(out / "distance_scan.csv")
+            columns.append([row[header.index("r")] for row in rows])
+        assert columns[0] == columns[1]
+
+
+# ---------------------------------------------------------------------------
+# config rules: a config that breaks a twirl-mode or noise-budget rule is a
+# configuration error (exit 2), not an internal failure
+# ---------------------------------------------------------------------------
+
+DISTANCE = {"n_list": [2, 3], "t_list": [1, 2], "theta": 0.3, "p_tot": 0.5, "num_inputs": 1, "num_bases": 1}
+
+
+@pytest.mark.parametrize(
+    "subcommand,doc,message",
+    [
+        ("twirl-verify", {"n": 2, "mode": "full", "noise": {"px": 0.7, "py": 0.7}}, "probability 1"),
+        ("bias-scan", {**{key: v for key, v in NOISY_BIAS.items() if key != "p_tot"}, "noise": {"px": 0.7, "py": 0.7}},
+         "probability 1"),
+        ("distance-scan", dict(DISTANCE, noise={"px": 0, "py": 0, "pz": 0}), "nonzero noise weight"),
+        ("distance-scan", dict(DISTANCE, p_tot=50), "exceeds probability 1"),
+        ("distance-scan", dict(DISTANCE, twirl_mode="analytic_ksparse", k=3), "1 <= k <= 2"),
+        ("gadget-scan", {"model": "heisenberg_1d", "sizes": [3], "steps": 1, "noise": {"px": 1}, "p_tot": 0.6,
+                         "modes": [{"mode": "full"}], "ratios": [20]}, "gadget noise rate"),
+    ],
+)
+def test_rule_violations_are_config_errors(tmp_path, capsys, subcommand, doc, message):
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
 
 
 # ---------------------------------------------------------------------------

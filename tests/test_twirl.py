@@ -193,6 +193,11 @@ def test_enumeration_count_two_qubits():
         assert gdg.conjugate_pauli(z0) == z0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_full_enumeration_is_ksparse_at_k_equal_n(n):
+    assert enumerate_sampler_distribution(n, "full") == enumerate_sampler_distribution(n, "ksparse", n)
+
+
 def test_enumeration_refuses_oversize():
     with pytest.raises(ValueError):
         enumerate_sampler_distribution(6, "full")
