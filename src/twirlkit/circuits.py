@@ -21,16 +21,20 @@ module-level ``lru_cache``s, so ``cache_clear`` empties them with the
 package's other memos.
 
 The walk replays a rotation layer's gates once, forward only.  A copy of the
-rows goes through the frame V and, in the sampled modes, the drawn gadget D
-inverted; the fidelity is read there.  The rows themselves take the rotation
-about the axis Q as P → P·Q when P anticommutes with Q, and stay P otherwise:
-the anticommutation mask is XORed into the columns of Q's support.
-Three facts make this exact: (1) a symmetric gadget D fixes Z on qubit 0, so
-the copy's qubit-0 x-bit is that anticommutation bit; (2) the rotation only
-swaps X and Y on qubit 0, so the gadget's second depolarizing factor, set by
-the weight on its support, reads the same on the copy as after the rotation;
-(3) one gadget is drawn per layer and shot, in walk order, so the random
-stream does not depend on how the gates are replayed.
+rows goes through the frame V and, in the sampled modes, each shot's drawn
+gadget D inverted, on its own copy; the fidelity is read there.  The rows
+themselves take the rotation about the axis Q as P → P·Q when P anticommutes
+with Q, and stay P otherwise: the anticommutation mask is XORed into the
+columns of Q's support.  Three facts make this exact: (1) a symmetric gadget
+D fixes Z on qubit 0, so the copy's qubit-0 x-bit is that anticommutation
+bit; (2) the rotation only swaps X and Y on qubit 0, so the gadget's second
+depolarizing factor, set by the weight on its support, reads the same on the
+copy as after the rotation; (3) the gadgets are drawn shot-major per chunk of
+shots, in walk order within a shot, so the random stream does not depend on
+how the gates are replayed.  Since the rows never see a gadget, the shots of
+a chunk share one walk: frames, Clifford layers and rotations are replayed
+once per chunk, and the gadget copies are stacked shot-major in the bit
+width, so one unpack per layer reads every shot's letter and weights.
 
 A rotation layer decides whether it samples (``is_sampled``) and draws its
 own gadgets (``draw_gadget``); a circuit samples when one of its layers does.
@@ -93,6 +97,9 @@ TWIRL_MODES = ("none", "full", "ksparse", "analytic_full", "analytic_ksparse")
 _SAMPLED_MODES = ("full", "ksparse")
 _SPARSE_MODES = ("ksparse", "analytic_ksparse")
 _ANGLE_TOL = 1e-9
+# Sampled shots walk in chunks of at most _CHUNK // max(rows, sampled layers)
+# shots: it bounds both the gadgets held at once and the stacked bit width.
+_CHUNK = 4096
 
 
 def _draws_gadgets(mode: str) -> bool:
@@ -482,49 +489,59 @@ def build_trotter_circuit(
 # ---------------------------------------------------------------------------
 
 
-def _gadget_depolarize(p_d: float, support, xs, zs, rows: int, lam: np.ndarray) -> None:
-    """Local depolarizing noise at rate p_d on each qubit of a gadget's support."""
-    if p_d > 0 and support:
-        lam *= (1 - 4 * p_d / 3) ** _weight(xs, zs, support, rows)
-
-
 def _rotation_step(
     layer: RotationLayer,
     xs: list[int],
     zs: list[int],
     rows: int,
     lam: np.ndarray,
-    rng: np.random.Generator | None,
+    gadgets: list[TwirlGadget] | None,
 ) -> None:
-    """Back-propagate the batch through one rotation layer, updating lam.
+    """Back-propagate the batch through one rotation layer, updating lam (shots, rows).
 
-    A copy of the rows is taken through the frame and, in the sampled modes,
-    the inverted gadget; the letter, the weight and both depolarizing factors
-    are read off it.  The rows take the rotation as P → P·Q where the copy's
-    qubit-0 x-bit is set: the gadget fixes Z on qubit 0, so that bit is the
-    anticommutation of P with the axis, and the rotation leaves the weight on
-    the gadget's support alone.  A sampled layer draws one gadget per call.
+    A copy of the rows is taken through the frame; in the sampled modes each
+    shot's gadget is replayed, inverted, on its own copy of the framed
+    columns, and the copies are stacked shot-major in the bit width (shot s
+    holds bits s·rows to (s+1)·rows − 1).  The letter, the weight and both
+    depolarizing factors are read off the copies.  The rows take the rotation
+    as P → P·Q where the framed qubit-0 x-bit is set: a gadget fixes Z on
+    qubit 0, so that bit is the anticommutation of P with the axis for every
+    shot, and the rotation leaves the weight on the gadget's support alone.
     """
+    n = layer.n
     fx, fz = list(xs), list(zs)
     for g in layer.frame_gates:
         _apply_gate(fx, fz, 0, g)
+    table = _fidelity_table(n, layer.rates, layer.twirl_mode, layer.k)
 
-    gadget = None
-    if layer.is_sampled:  # effective_fidelity_batch has checked the rng
-        gadget = layer.draw_gadget(rng)
-        _gadget_depolarize(layer.gadget_noise_rate, gadget.support, fx, fz, rows, lam)
-        for g in reversed(gadget.gates):
-            _apply_gate(fx, fz, 0, g)
-
-    x0, z0 = _unpack([fx[0], fz[0]], rows)
-    table = _fidelity_table(layer.n, layer.rates, layer.twirl_mode, layer.k)
-    letter = x0 + 2 * z0
-    if table.ndim == 1:
-        lam *= table[letter]
-    else:
-        lam *= table[letter, _weight(fx, fz, range(1, layer.n), rows)]
-    if gadget is not None:
-        _gadget_depolarize(layer.gadget_noise_rate, gadget.support, fx, fz, rows, lam)
+    if gadgets is None:
+        x0, z0 = _unpack([fx[0], fz[0]], rows)
+        if table.ndim == 1:
+            lam *= table[x0 + 2 * z0]
+        else:
+            lam *= table[x0 + 2 * z0, _weight(fx, fz, range(1, n), rows)]
+    else:  # sampled tables are bare noise: one letter column
+        shots, p_d = len(gadgets), layer.gadget_noise_rate
+        # x0 and z0 of the gadget copies, then per qubit of each shot's support
+        # the rows acting there on the framed copy and on the gadget copy
+        stacked = [0] * (2 + 2 * n if p_d > 0 else 2)
+        for s, gadget in enumerate(gadgets):
+            gx, gz = list(fx), list(fz)
+            for g in reversed(gadget.gates):
+                _apply_gate(gx, gz, 0, g)
+            shift = s * rows
+            stacked[0] |= gx[0] << shift
+            stacked[1] |= gz[0] << shift
+            if p_d > 0:
+                for q in gadget.support:
+                    stacked[2 + q] |= (fx[q] | fz[q]) << shift
+                    stacked[2 + n + q] |= (gx[q] | gz[q]) << shift
+        bits = _unpack(stacked, shots * rows).reshape(len(stacked), shots, rows)
+        before, after = bits[2:].reshape(2, n, shots, rows).sum(axis=1, dtype=np.int64) if p_d > 0 else (0, 0)
+        factor = 1 - 4 * p_d / 3  # 1.0 ** 0 when the gadgets are clean
+        lam *= factor**before
+        lam *= table[bits[0] + 2 * bits[1]]
+        lam *= factor**after
 
     kind = layer.rotation_kind
     anti = fx[0]
@@ -542,19 +559,23 @@ def _rotation_step(
         )
 
 
-def _walk(
-    c: LogicalCircuit,
-    xs: list[int],
-    zs: list[int],
-    rows: int,
-    rng: np.random.Generator | None,
-) -> np.ndarray:
-    """One full back-propagation pass of a copy of the columns; returns per-row fidelities."""
+def _walk(c: LogicalCircuit, xs: list[int], zs: list[int], rows: int, draws: list) -> np.ndarray:
+    """One back-propagation pass of a copy of the columns for a chunk of shots.
+
+    ``draws[s]`` holds shot s's gadgets in walk order; a circuit without
+    sampled layers is the one-shot case ``[()]``.  Returns the (shots, rows)
+    fidelities.
+    """
     xs, zs = list(xs), list(zs)
-    lam = np.ones(rows)
+    lam = np.ones((len(draws), rows))
+    drawn = 0
     for layer in reversed(c.layers):
         if isinstance(layer, RotationLayer):
-            _rotation_step(layer, xs, zs, rows, lam, rng)
+            gadgets = None
+            if layer.is_sampled:
+                gadgets = [shot[drawn] for shot in draws]
+                drawn += 1
+            _rotation_step(layer, xs, zs, rows, lam, gadgets)
         elif isinstance(layer, CliffordLayer):
             for g in reversed(layer.gates):
                 _apply_gate(xs, zs, 0, g)
@@ -576,7 +597,10 @@ def effective_fidelity_batch(
     the ideal unitary.  Deterministic circuits need a single pass and report
     zero error; sampled twirl modes Monte-Carlo average over gadget draws,
     sharing draws across the batch (common random numbers — each
-    per-observable mean stays unbiased).
+    per-observable mean stays unbiased).  The shots run in chunks of
+    consecutive shots: a chunk draws its gadgets shot-major, in walk order
+    within a shot (the stream of one walk per shot), then walks the layers
+    once, replaying the frames and Clifford layers once for all its shots.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
@@ -588,12 +612,15 @@ def effective_fidelity_batch(
     xs, zs = _columns(paulis, c.n)
     rows = len(paulis)
     if not c.is_sampled:
-        return _walk(c, xs, zs, rows, rng), np.zeros(rows)
+        return _walk(c, xs, zs, rows, [()])[0], np.zeros(rows)
     if rng is None:
         raise ValueError("sampled twirl modes need an rng")
+    sampled = [layer for layer in reversed(c.layers) if isinstance(layer, RotationLayer) and layer.is_sampled]
+    chunk = max(1, _CHUNK // max(rows, len(sampled)))
     samples = np.empty((shots, rows))
-    for s in range(shots):
-        samples[s] = _walk(c, xs, zs, rows, rng)
+    for start in range(0, shots, chunk):
+        draws = [[layer.draw_gadget(rng) for layer in sampled] for _ in range(min(chunk, shots - start))]
+        samples[start : start + len(draws)] = _walk(c, xs, zs, rows, draws)
     mean = samples.mean(axis=0)
     if shots == 1:
         return mean, np.zeros(len(paulis))

@@ -20,7 +20,8 @@ Exit codes: 0 success, 2 configuration error, 3 dense-cap exceeded,
 1 internal failure.
 
 The twirl-mode and noise-budget rules live in ``circuits``; ``_config_rules``
-reports their ValueError as a configuration error.
+reports their ValueError as a configuration error.  A scan checks its whole
+grid against them before it runs any row.
 """
 
 from __future__ import annotations
@@ -230,10 +231,8 @@ def _bias_grid_scan(config: dict, sha: str, seed: int, threads: int, grid: list)
     num_paulis = config.get("num_paulis", 1000)
     shots = config.get("shots", 1000)
     weights = _noise_weights(config, (0.0, 0.0, 0.0))
-
-    def work(i: int) -> list:
-        size, mode_cfg, ratio = grid[i]
-        start = time.perf_counter()
+    plans = []  # the whole grid is checked before any row runs
+    for size, mode_cfg, ratio in grid:
         model = _build_model(config["model"], size)
         mode, k = mode_cfg["mode"], mode_cfg.get("k")
         with _config_rules():
@@ -242,6 +241,12 @@ def _bias_grid_scan(config: dict, sha: str, seed: int, threads: int, grid: list)
             # only sampled modes insert gadgets, so only they can suffer gadget noise
             gadget = sweep_gadget if _draws_gadgets(mode) else 0.0
             _check_twirl_mode(mode, k, model.n_qubits, gadget)
+        extra = [] if ratio is None else [sweep_gadget]
+        plans.append((model, mode, k, rates, gadget, extra))
+
+    def work(i: int) -> list:
+        model, mode, k, rates, gadget, extra = plans[i]
+        start = time.perf_counter()
         circuit = build_trotter_circuit(
             model,
             steps,
@@ -257,7 +262,6 @@ def _bias_grid_scan(config: dict, sha: str, seed: int, threads: int, grid: list)
         rescale = optimal_rescale_coefficient(circuit)
         v = _layer_distance_v(circuit)
         runtime_ms = (time.perf_counter() - start) * 1e3
-        extra = [] if ratio is None else [sweep_gadget]
         return [circuit.n, _mode_label(mode, k), *extra, mean, err, rescale, v, runtime_ms, sha]
 
     return _parallel(work, len(grid), threads)

@@ -155,7 +155,7 @@ def sample_full_twirl_gate(n: int, rng: np.random.Generator) -> TwirlGadget:
     """
     if n < 1:
         raise ValueError("need at least one qubit")
-    targets = tuple(q for q in range(1, n) if rng.random() < 0.75)
+    targets = tuple(q for q, u in enumerate(rng.random(n - 1).tolist(), 1) if u < 0.75)
     local_indices = tuple(int(rng.integers(24)) for _ in targets)
     s_fired = bool(rng.random() < 0.5)
     return _assemble_gadget(n, targets, local_indices, s_fired)

@@ -436,10 +436,11 @@ class TestDeterministicWalk:
         paulis = [random_pauli(9, exclude_identity=True, rng=rng) for _ in range(10)]
         shots = 3
         effective_fidelity_batch(c, paulis, shots, rng)
-        passes = shots if sampled else 1
+        # the three shots walk as one chunk: frames and Clifford layers replay
+        # once, and each drawn gadget once
         per_pass = sum(len(layer.frame_gates) for layer in c.rotation_layers()) + 2 * len(clifford.gates)
-        assert len(gadgets) == (passes * len(trotter.layers) if sampled else 0)
-        assert len(applied) == passes * per_pass + sum(len(g.gates) for g in gadgets)
+        assert len(gadgets) == (shots * len(trotter.layers) if sampled else 0)
+        assert len(applied) == per_pass + sum(len(g.gates) for g in gadgets)
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +538,28 @@ class TestSampledTwirl:
         clean, _ = effective_fidelity(mk(0.0), obs, shots=800, rng=rng)
         noisy, err = effective_fidelity(mk(0.05), obs, shots=800, rng=rng)
         assert noisy < clean - 3 * err
+
+    @pytest.mark.parametrize("mode,k", [("full", None), ("ksparse", 2)])
+    def test_chunked_shots_equal_single_shots(self, mode, k):
+        n = 5
+        rng = np.random.default_rng(21)
+        trotter = build_trotter_circuit(
+            heisenberg_1d(n), 2, 0.1, clifford_sim=True, base_noise=rz_axis_noise(0.02, 0.01, 0.005),
+            twirl_mode=mode, k=k, gadget_noise_rate=0.04,
+        )
+        clifford = CliffordLayer(random_clifford(n, rng))
+        noise = NoiseLayer(make_single_qubit_pauli_noise(n, 2, 0.01, 0.0, 0.02))
+        c = LogicalCircuit(n, (clifford, *trotter.layers[:3], noise, clifford, *trotter.layers[3:], noise))
+        rows = circuits._CHUNK // 3  # three shots per chunk
+        paulis = [random_pauli(n, exclude_identity=True, rng=rng) for _ in range(rows)]
+        shots = 2 * (circuits._CHUNK // rows) + 1  # three chunks, the last one short
+        mean, stderr = effective_fidelity_batch(c, paulis, shots, np.random.default_rng(5))
+        one_rng = np.random.default_rng(5)
+        samples = np.array([effective_fidelity_batch(c, paulis, 1, one_rng)[0] for _ in range(shots)])
+        assert np.array_equal(mean, samples.mean(axis=0))
+        assert np.array_equal(stderr, samples.std(axis=0, ddof=1) / math.sqrt(shots))
+        assert stderr.max() > 0
+        assert [a.shape for a in effective_fidelity_batch(c, [], shots, one_rng)] == [(0,), (0,)]
 
     def test_sampled_requires_rng(self):
         noise = rz_axis_noise(0.02, 0.02, 0.0)

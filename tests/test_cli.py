@@ -318,6 +318,15 @@ class TestBiasScan:
         cfg = write_config(tmp_path, "c.json", doc)
         assert main(["bias-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_grid_is_checked_before_any_row_runs(self, tmp_path, monkeypatch):
+        calls = []
+        average_bias = twirlkit.cli.average_bias
+        monkeypatch.setattr(twirlkit.cli, "average_bias", lambda *args: calls.append(args) or average_bias(*args))
+        doc = dict(NOISY_BIAS, modes=[{"mode": "none"}, {"mode": "analytic_full"}, {"mode": "ksparse"}])
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["bias-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert calls == []
+
     def test_size_shape_mismatch_is_config_error(self, tmp_path, capsys):
         doc = dict(NOISY_BIAS, model="heisenberg_2d", sizes=[3])
         cfg = write_config(tmp_path, "c.json", doc)

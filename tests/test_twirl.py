@@ -16,6 +16,7 @@ Verification strategy, since the full symmetric Clifford group is huge:
   outright for a direct average-channel comparison.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -178,6 +179,37 @@ def test_support_bookkeeping():
             assert gdg.support == frozenset({0})
             seen_s_only = True
     assert seen_empty and seen_s_only
+
+
+# For each case, 20 draws at seeds 0..19, one line per seed: the gates
+# ("MULTICNOT0,1 H1 S0"), the sorted support and the generator's next random()
+# as float.hex, joined by "|".  The value is the first 16 hex digits of the
+# SHA-256 of those lines joined by newlines.  Every sampled CSV row reads
+# these streams, so a change to them must show here and be declared.
+FROZEN_SAMPLER_STREAMS = [
+    ("full", 1, None, "253ae4ed4bbc8d28"),
+    ("full", 2, None, "39c9996294cef8f7"),
+    ("full", 9, None, "887f4ad55ef22f57"),
+    ("full", 16, None, "278006c20d2fbff4"),
+    ("ksparse", 1, 1, "c475f707e2b63859"),
+    ("ksparse", 2, 1, "c475f707e2b63859"),
+    ("ksparse", 2, 2, "99a57bb3f56182c1"),
+    ("ksparse", 9, 1, "c475f707e2b63859"),
+    ("ksparse", 9, 2, "bc91d61376dfec42"),
+    ("ksparse", 16, 1, "c475f707e2b63859"),
+    ("ksparse", 16, 2, "6461d32aa843625f"),
+]
+
+
+@pytest.mark.parametrize("mode, n, k, digest", FROZEN_SAMPLER_STREAMS)
+def test_sampler_streams_are_frozen(mode, n, k, digest):
+    lines = []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        gdg = sample_full_twirl_gate(n, rng) if mode == "full" else sample_ksparse_twirl_gate(n, k, rng)
+        gates = " ".join(f"{g.kind}{','.join(map(str, g.qubits))}" for g in gdg.gates)
+        lines.append(f"{gates}|{','.join(map(str, sorted(gdg.support)))}|{rng.random().hex()}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == digest
 
 
 # ---------------------------------------------------------------------------
