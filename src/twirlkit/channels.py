@@ -444,11 +444,6 @@ def point_ensemble(p: PauliOp) -> PauliEnsemble:
     return PauliEnsemble(p.n, (PointFactor(tuple(range(p.n)), p),))
 
 
-def ensemble_mean_chi(e: PauliEnsemble, p: PauliOp) -> float:
-    """E over members E of χ(E, p), where χ = +1 if they commute, else −1."""
-    return float(e.mean_chi_exact(p))
-
-
 # ---------------------------------------------------------------------------
 # channels
 # ---------------------------------------------------------------------------
@@ -619,39 +614,37 @@ def _disjoint_pieces(ch: PauliChannel) -> list[tuple[int, float]]:
     return pieces + [(1, mass) for mass in masses.values()]
 
 
-def distance_v(ch: PauliChannel) -> float:
-    """2-norm distance of the normalized error distribution from white noise."""
+def _whitenoise_gap(ch: PauliChannel, norm) -> float:
+    """Σ over nonidentity Paulis P of norm(q(P) − 1/(4^n−1)), q the normalized error distribution."""
     if ch.p_err <= 0:
         raise ValueError("distance is undefined for a noiseless channel")
-    big_n = 4**ch.n
-    uniform = 1.0 / (big_n - 1)
+    uniform = 1.0 / (4**ch.n - 1)
     total = 0.0
     covered = 0
     for card, prob in _disjoint_pieces(ch):
-        total += card * (prob / ch.p_err / card - uniform) ** 2
+        total += card * norm(prob / ch.p_err / card - uniform)
         covered += card
-    total += (big_n - 1 - covered) * uniform**2
-    return math.sqrt(total)
+    return total + (4**ch.n - 1 - covered) * norm(uniform)
+
+
+def distance_v(ch: PauliChannel) -> float:
+    """2-norm distance of the normalized error distribution from white noise."""
+    return math.sqrt(_whitenoise_gap(ch, lambda d: d**2))
 
 
 def diamond_distance_normalized(ch: PauliChannel) -> float:
     """1-norm analogue of distance_v (diamond-norm distance scaled by p_err)."""
-    if ch.p_err <= 0:
-        raise ValueError("distance is undefined for a noiseless channel")
-    big_n = 4**ch.n
-    uniform = 1.0 / (big_n - 1)
-    total = 0.0
-    covered = 0
-    for card, prob in _disjoint_pieces(ch):
-        total += card * abs(prob / ch.p_err / card - uniform)
-        covered += card
-    total += (big_n - 1 - covered) * uniform
-    return total
+    return _whitenoise_gap(ch, abs)
+
+
+def _goodness(n: int) -> float:
+    """The white-noise factor 4^n/(4^n−1)."""
+    return 4**n / (4**n - 1)
 
 
 def unitarity(ch: PauliChannel) -> float:
     """Expected output purity parameter u of the Pauli channel."""
-    g = 4**ch.n / (4**ch.n - 1)
+    g = _goodness(ch.n)
     p = sum(prob for prob, _ in ch.atoms)
     sum_sq = sum(prob**2 / card for card, prob in _disjoint_pieces(ch)) if ch.atoms else 0.0
     return 1 - 2 * g * p + g * (p**2 + sum_sq)
@@ -659,8 +652,7 @@ def unitarity(ch: PauliChannel) -> float:
 
 def avg_noise_strength(ch: PauliChannel) -> float:
     """The parameter s = 1 − p_err·4^n/(4^n−1) (uniform Pauli-fidelity mean)."""
-    g = 4**ch.n / (4**ch.n - 1)
-    return 1 - g * sum(prob for prob, _ in ch.atoms)
+    return 1 - _goodness(ch.n) * sum(prob for prob, _ in ch.atoms)
 
 
 def sample_error(ch: PauliChannel, rng: np.random.Generator) -> PauliOp | None:

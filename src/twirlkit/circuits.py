@@ -64,7 +64,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .channels import _PROB_TOL, PauliChannel, avg_noise_strength, fidelity_batch, make_single_qubit_pauli_noise, unitarity
+from .channels import _PROB_TOL, PauliChannel, _goodness, avg_noise_strength, fidelity_batch, make_single_qubit_pauli_noise
+from .channels import unitarity
 from .paulis import PauliOp, _columns, _unpack, _weight, random_paulis
 from .tableau import CliffordOp, GateSpec, _apply_gate, clifford_mapping_z0_to, decompose_gates, from_gates
 from .twirl import SymmetrySpec, TwirlGadget, twirl_channel, twirl_channel_ksparse
@@ -584,6 +585,14 @@ def _walk(c: LogicalCircuit, xs: list[int], zs: list[int], rows: int, draws: lis
     return lam
 
 
+def _mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error (ddof 1) along axis 0; the error of one sample is 0."""
+    mean = samples.mean(axis=0)
+    if len(samples) == 1:
+        return mean, np.zeros_like(mean)
+    return mean, samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
+
+
 def effective_fidelity_batch(
     c: LogicalCircuit,
     paulis: list[PauliOp],
@@ -621,11 +630,7 @@ def effective_fidelity_batch(
     for start in range(0, shots, chunk):
         draws = [[layer.draw_gadget(rng) for layer in sampled] for _ in range(min(chunk, shots - start))]
         samples[start : start + len(draws)] = _walk(c, xs, zs, rows, draws)
-    mean = samples.mean(axis=0)
-    if shots == 1:
-        return mean, np.zeros(len(paulis))
-    stderr = samples.std(axis=0, ddof=1) / math.sqrt(shots)
-    return mean, stderr
+    return _mean_stderr(samples)
 
 
 def effective_fidelity(
@@ -722,19 +727,13 @@ def average_bias(
     paulis = random_paulis(c.n, num_paulis, exclude_identity=True, rng=rng)
     means, _ = effective_fidelity_batch(c, paulis, shots, rng)
     r = optimal_rescale_coefficient(c)
-    biases = np.abs(r * np.abs(means) - 1.0)
-    if num_paulis == 1:
-        return float(biases[0]), 0.0
-    return float(biases.mean()), float(biases.std(ddof=1) / math.sqrt(num_paulis))
+    mean, stderr = _mean_stderr(np.abs(r * np.abs(means) - 1.0))
+    return float(mean), float(stderr)
 
 
 # ---------------------------------------------------------------------------
 # overhead and bias bounds
 # ---------------------------------------------------------------------------
-
-
-def _goodness(n: int) -> float:
-    return 4**n / (4**n - 1)
 
 
 def overhead_rescaling(p_err: float, num_layers: int, n: int) -> float:

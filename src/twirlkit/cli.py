@@ -2,10 +2,13 @@
 
 Every subcommand reads a JSON configuration validated against a schema
 shipped with the package (unknown keys are rejected; violations are reported
-with JSON-pointer paths).  Scan subcommands write one CSV plus a provenance
-manifest recording the seed, the SHA-256 of the config file, the package
-version, and the wall time.  CSV content is a pure function of the config
-and seed, except for the ``runtime_ms`` timing column.
+with JSON-pointer paths).  A scan subcommand is a function
+``(config, seed, threads) -> (header, rows)``; ``main`` alone appends the
+``config_sha256`` column (the SHA-256 of the config file), names and writes
+the CSV, and writes the provenance manifest recording the seed, the config
+SHA-256, the package version, the wall time, the CSV name and its row count.
+CSV content is a pure function of the config and seed, except for the
+``runtime_ms`` timing column.
 
 Subcommands:
     twirl-verify   exact rational sampler-vs-analytic channel comparison
@@ -145,30 +148,6 @@ def _version() -> str:
     return base
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_manifest(
-    out_dir: Path, subcommand: str, seed: int, sha: str, wall_s: float, csv_name: str, rows: int
-) -> None:
-    doc = {
-        "subcommand": subcommand,
-        "seed": seed,
-        "config_sha256": sha,
-        "version": _version(),
-        "wall_time_s": wall_s,
-        "csv": csv_name,
-        "rows": rows,
-    }
-    jsonschema.Draft202012Validator(_schema("manifest")).validate(doc)
-    path = out_dir / f"{subcommand.replace('-', '_')}_manifest.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def _parallel(work, count: int, threads: int) -> list:
     """Run ``work(i)`` for i in range(count); output order is fixed and the
     result is independent of the thread count (each item owns its own seed)."""
@@ -218,8 +197,8 @@ def _layer_distance_v(circuit) -> float:
     return distance_v(layer_noise_channel(layer))
 
 
-def _bias_grid_scan(config: dict, sha: str, seed: int, threads: int, grid: list) -> list[list]:
-    """Rows [n, mode, (extra...), mean_bias, stderr, R, v, runtime_ms, sha].
+def _bias_grid_scan(config: dict, seed: int, threads: int, grid: list) -> list[list]:
+    """Rows [n, mode, (extra...), mean_bias, stderr, R, v, runtime_ms].
 
     ``grid`` entries are (size, mode_cfg, p_D_ratio_or_None); a None ratio
     means plain bias-scan semantics with the config's gadget_noise_rate.
@@ -262,15 +241,9 @@ def _bias_grid_scan(config: dict, sha: str, seed: int, threads: int, grid: list)
         rescale = optimal_rescale_coefficient(circuit)
         v = _layer_distance_v(circuit)
         runtime_ms = (time.perf_counter() - start) * 1e3
-        return [circuit.n, _mode_label(mode, k), *extra, mean, err, rescale, v, runtime_ms, sha]
+        return [circuit.n, _mode_label(mode, k), *extra, mean, err, rescale, v, runtime_ms]
 
     return _parallel(work, len(grid), threads)
-
-
-def _run_scan(subcommand: str, out_dir: Path, header: list[str], rows: list[list]) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / f"{subcommand.replace('-', '_')}.csv", header, rows)
-    return len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -278,26 +251,26 @@ def _run_scan(subcommand: str, out_dir: Path, header: list[str], rows: list[list
 # ---------------------------------------------------------------------------
 
 
-def cmd_bias_scan(config: dict, sha: str, seed: int, out_dir: Path, threads: int) -> tuple[list, list]:
+def cmd_bias_scan(config: dict, seed: int, threads: int) -> tuple[list, list]:
     grid = [(size, mode, None) for size in config["sizes"] for mode in config["modes"]]
-    rows = _bias_grid_scan(config, sha, seed, threads, grid)
-    header = ["n", "mode", "mean_bias", "stderr", "R", "v", "runtime_ms", "config_sha256"]
+    rows = _bias_grid_scan(config, seed, threads, grid)
+    header = ["n", "mode", "mean_bias", "stderr", "R", "v", "runtime_ms"]
     return header, rows
 
 
-def cmd_gadget_scan(config: dict, sha: str, seed: int, out_dir: Path, threads: int) -> tuple[list, list]:
+def cmd_gadget_scan(config: dict, seed: int, threads: int) -> tuple[list, list]:
     grid = [
         (size, mode, ratio)
         for size in config["sizes"]
         for ratio in config["ratios"]
         for mode in config["modes"]
     ]
-    rows = _bias_grid_scan(config, sha, seed, threads, grid)
-    header = ["n", "mode", "p_D", "mean_bias", "stderr", "R", "v", "runtime_ms", "config_sha256"]
+    rows = _bias_grid_scan(config, seed, threads, grid)
+    header = ["n", "mode", "p_D", "mean_bias", "stderr", "R", "v", "runtime_ms"]
     return header, rows
 
 
-def cmd_overhead(config: dict, sha: str, seed: int, out_dir: Path, threads: int) -> tuple[list, list]:
+def cmd_overhead(config: dict, seed: int, threads: int) -> tuple[list, list]:
     p_err, n = config["p_err"], config["n"]
     rows = [
         [
@@ -306,7 +279,6 @@ def cmd_overhead(config: dict, sha: str, seed: int, out_dir: Path, threads: int)
             overhead_rescaling(p_err, depth, n),
             overhead_pec(p_err, depth),
             overhead_lower_bound(p_err, depth, n),
-            sha,
         ]
         for depth in config["num_layers"]
     ]
@@ -316,12 +288,11 @@ def cmd_overhead(config: dict, sha: str, seed: int, out_dir: Path, threads: int)
         "overhead_rescaling",
         "overhead_pec",
         "overhead_lower_bound",
-        "config_sha256",
     ]
     return header, rows
 
 
-def cmd_wn_bound(config: dict, sha: str, seed: int, out_dir: Path, threads: int) -> tuple[list, list]:
+def cmd_wn_bound(config: dict, seed: int, threads: int) -> tuple[list, list]:
     p_tot = config["p_tot"]
     weights = _noise_weights(config, (1.0, 1.0, 1.0))
     rows = []
@@ -338,13 +309,13 @@ def cmd_wn_bound(config: dict, sha: str, seed: int, out_dir: Path, threads: int)
             else:
                 s = u = 1.0
                 bound = cor = 0.0
-            rows.append([n, depth, p_err, s, u, bound, cor, sha])
-    header = ["n", "num_layers", "p_err", "s", "u", "bias_bound", "corollary_bound", "config_sha256"]
+            rows.append([n, depth, p_err, s, u, bound, cor])
+    header = ["n", "num_layers", "p_err", "s", "u", "bias_bound", "corollary_bound"]
     return header, rows
 
 
-def cmd_distance_scan(config: dict, sha: str, seed: int, out_dir: Path, threads: int) -> tuple[list, list]:
-    from .dense import dense_cap, rescaled_distance_scan
+def cmd_distance_scan(config: dict, seed: int, threads: int) -> tuple[list, list]:
+    from .dense import _SCAN_MODEL, dense_cap, rescaled_distance_scan
 
     biggest = max(config["n_list"])
     if biggest > dense_cap():
@@ -355,10 +326,9 @@ def cmd_distance_scan(config: dict, sha: str, seed: int, out_dir: Path, threads:
     weights = _noise_weights(config, (1.0, 1.0, 1.0))
     mode = config.get("twirl_mode", "analytic_full")
     k = config.get("k")
-    model_builder = heisenberg_1d
     with _config_rules():
         for n in config["n_list"]:
-            model = model_builder(n)
+            model = _SCAN_MODEL(n)
             _check_twirl_mode(mode, k, model.n_qubits)
             for steps in config["t_list"]:
                 _resolve_rates(weights, config["p_tot"], steps * len(model.terms()))
@@ -370,7 +340,6 @@ def cmd_distance_scan(config: dict, sha: str, seed: int, out_dir: Path, threads:
         config.get("num_inputs", 3),
         config.get("num_bases", 10),
         np.random.default_rng(np.random.SeedSequence(seed)),
-        model_builder=model_builder,
         noise_weights=weights,
         twirl_mode=mode,
         k=k,
@@ -388,8 +357,7 @@ def cmd_distance_scan(config: dict, sha: str, seed: int, out_dir: Path, threads:
         "tv_distance",
         "tv_stderr",
     ]
-    rows = [[row[key] for key in keys] + [sha] for row in result]
-    return keys + ["config_sha256"], rows
+    return keys, [[row[key] for key in keys] for row in result]
 
 
 # ---------------------------------------------------------------------------
@@ -556,16 +524,25 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_twirl_verify(config, sha)
         if args.subcommand == "budget":
             return cmd_budget(config, sha)
-        out_dir = Path(args.out)
-        header, rows = _SCAN_COMMANDS[args.subcommand](
-            config, sha, seed, out_dir, args.threads
-        )
-        count = _run_scan(args.subcommand, out_dir, header, rows)
-        _write_manifest(
-            out_dir, args.subcommand, seed, sha, time.perf_counter() - started,
-            f"{args.subcommand.replace('-', '_')}.csv", count,
-        )
-        print(f"{args.subcommand}: wrote {count} rows to {out_dir}")
+        header, rows = _SCAN_COMMANDS[args.subcommand](config, seed, args.threads)
+        out_dir, stem = Path(args.out), args.subcommand.replace("-", "_")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with (out_dir / f"{stem}.csv").open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow([*header, "config_sha256"])
+            writer.writerows([*row, sha] for row in rows)
+        manifest = {
+            "subcommand": args.subcommand,
+            "seed": seed,
+            "config_sha256": sha,
+            "wall_time_s": time.perf_counter() - started,
+            "version": _version(),
+            "csv": f"{stem}.csv",
+            "rows": len(rows),
+        }
+        jsonschema.Draft202012Validator(_schema("manifest")).validate(manifest)
+        (out_dir / f"{stem}_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        print(f"{args.subcommand}: wrote {len(rows)} rows to {out_dir}")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -47,6 +47,7 @@ from .circuits import (
     NoiseLayer,
     RotationLayer,
     _frame_channel,
+    _mean_stderr,
     _resolve_rates,
     build_trotter_circuit,
     heisenberg_1d,
@@ -77,6 +78,7 @@ _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _PSD_TOL = -1e-9
 _EAGER_PSD_DIM = 128  # full eigen-check on construction up to this size
+_SCAN_MODEL = heisenberg_1d  # the model of ``rescaled_distance_scan``
 
 
 def dense_cap() -> int:
@@ -594,7 +596,6 @@ def rescaled_distance_scan(
     num_bases: int,
     rng: np.random.Generator,
     *,
-    model_builder=heisenberg_1d,
     noise_weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
     twirl_mode: str = "analytic_full",
     k: int | None = None,
@@ -602,15 +603,15 @@ def rescaled_distance_scan(
 ) -> list[dict]:
     """Distances between the ideal state and the rescaled noisy state.
 
-    For each (n, T): builds the model's Trotter circuit with every rotation
-    angle equal to ``theta``, splits p_tot over the layers with
+    For each (n, T): builds the n-site Heisenberg chain's Trotter circuit with
+    every rotation angle equal to ``theta``, splits p_tot over the layers with
     ``circuits._resolve_rates``, and compares ρ_ideal against
     R·ρ_noisy + (1−R)·I/2^n over Haar-random pure inputs, by trace distance
     and by measured total-variation distance over random bases.
     """
     rows = []
     for n in n_list:
-        model = model_builder(n)
+        model = _SCAN_MODEL(n)
         for t in t_list:
             if t < 1:
                 raise ValueError("need at least one Trotter step")
@@ -633,6 +634,7 @@ def rescaled_distance_scan(
                 tds[i] = 0.5 * float(np.abs(np.linalg.eigvalsh(ideal.entries - combo)).sum())
                 mean_tv, _ = _tv_raw(ideal.entries, combo, c.n, num_bases, rng, haar_bases)
                 tvs[i] = mean_tv
+            (td, td_err), (tv, tv_err) = _mean_stderr(tds), _mean_stderr(tvs)
             rows.append(
                 {
                     "n": n,
@@ -641,10 +643,10 @@ def rescaled_distance_scan(
                     "theta": theta,
                     "p_err": p_err,
                     "r": r,
-                    "trace_distance": float(tds.mean()),
-                    "trace_stderr": float(tds.std(ddof=1) / math.sqrt(num_inputs)) if num_inputs > 1 else 0.0,
-                    "tv_distance": float(tvs.mean()),
-                    "tv_stderr": float(tvs.std(ddof=1) / math.sqrt(num_inputs)) if num_inputs > 1 else 0.0,
+                    "trace_distance": float(td),
+                    "trace_stderr": float(td_err),
+                    "tv_distance": float(tv),
+                    "tv_stderr": float(tv_err),
                 }
             )
     return rows
@@ -671,6 +673,5 @@ def _tv_raw(
         p = ((u @ a) * u.conj()).sum(1).real
         q_ = ((u @ b) * u.conj()).sum(1).real
         vals[i] = 0.5 * float(np.abs(p - q_).sum())
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(num_bases)) if num_bases > 1 else 0.0
-    return mean, stderr
+    mean, stderr = _mean_stderr(vals)
+    return float(mean), float(stderr)

@@ -52,6 +52,7 @@ from .tableau import (
 )
 
 _ENUMERATION_CAP = 1_000_000
+_S0 = gate("S", 0)  # the gadgets' S on qubit 0, validated once
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +74,6 @@ class SymmetrySpec:
     n2: int
     n3: int
     w_gates: tuple[GateSpec, ...]
-    provenance: str = "Custom"
 
     def __post_init__(self) -> None:
         if min(self.n1, self.n2, self.n3) < 0 or self.n2 == 0:
@@ -101,17 +101,17 @@ class SymmetrySpec:
 
     @staticmethod
     def rz_first_qubit(n: int) -> "SymmetrySpec":
-        return SymmetrySpec(0, 1, n - 1, (), "RzFirstQubit")
+        return SymmetrySpec(0, 1, n - 1, ())
 
     @staticmethod
     def toffoli(n: int) -> "SymmetrySpec":
         if n < 3:
             raise ValueError("a Toffoli needs at least three qubits")
-        return SymmetrySpec(0, 3, n - 3, (gate("H", 2),), "Toffoli")
+        return SymmetrySpec(0, 3, n - 3, (gate("H", 2),))
 
     @staticmethod
     def pauli_rotation(axis: PauliOp) -> "SymmetrySpec":
-        return SymmetrySpec(0, 1, axis.n - 1, clifford_mapping_z0_to(axis), "PauliRotation")
+        return SymmetrySpec(0, 1, axis.n - 1, clifford_mapping_z0_to(axis))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +139,7 @@ def _assemble_gadget(n: int, targets: tuple[int, ...], local_indices: tuple[int,
     for q, idx in zip(targets, local_indices):
         gates.extend(single_qubit_clifford_gates(idx, q))
     if s_fired:
-        gates.append(gate("S", 0))
+        gates.append(_S0)
     support = set(targets)
     if targets or s_fired:
         support.add(0)

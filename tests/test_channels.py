@@ -17,7 +17,6 @@ from twirlkit.channels import (
     avg_noise_strength,
     diamond_distance_normalized,
     distance_v,
-    ensemble_mean_chi,
     expand,
     fidelity_batch,
     make_single_qubit_pauli_noise,
@@ -126,14 +125,14 @@ def test_ensemble_register_partition_enforced():
 
 def test_mean_chi_point_frozen():
     e = point_ensemble(parse_pauli("ZI"))
-    assert ensemble_mean_chi(e, parse_pauli("XI")) == -1.0
-    assert ensemble_mean_chi(e, parse_pauli("ZZ")) == 1.0
+    assert float(e.mean_chi_exact(parse_pauli("XI"))) == -1.0
+    assert float(e.mean_chi_exact(parse_pauli("ZZ"))) == 1.0
 
 
 def test_mean_chi_full_group_balanced():
     e = PauliEnsemble(2, (FullGroupFactor((0,)), PointFactor((1,), identity(1))))
-    assert ensemble_mean_chi(e, parse_pauli("ZI")) == 0.0
-    assert ensemble_mean_chi(e, parse_pauli("IX")) == 1.0
+    assert float(e.mean_chi_exact(parse_pauli("ZI"))) == 0.0
+    assert float(e.mean_chi_exact(parse_pauli("IX"))) == 1.0
 
 
 def test_mean_chi_weight_at_most_vs_enumeration():
@@ -142,7 +141,7 @@ def test_mean_chi_weight_at_most_vs_enumeration():
     assert len(members) == 10  # 1 + 3*3
     q = parse_pauli("XZI")  # weight 2 on the register
     brute = sum(1 if commutes(m, q) else -1 for m in members) / len(members)
-    assert ensemble_mean_chi(e, q) == pytest.approx(brute, abs=1e-15)
+    assert float(e.mean_chi_exact(q)) == pytest.approx(brute, abs=1e-15)
 
 
 def test_mean_chi_factorizes_and_matches_enumeration():
@@ -169,7 +168,7 @@ def test_mean_chi_factorizes_and_matches_enumeration():
         for _ in range(6):
             q = random_pauli(n, rng=rng)
             brute = sum(1 if commutes(m, q) else -1 for m in members) / len(members)
-            assert ensemble_mean_chi(e, q) == pytest.approx(brute, abs=1e-12)
+            assert float(e.mean_chi_exact(q)) == pytest.approx(brute, abs=1e-12)
 
 
 def test_frame_members_are_conjugated():

@@ -43,7 +43,7 @@ from twirlkit.circuits import (
     tfim_2d,
     whitenoise_bias_bound,
 )
-from twirlkit.paulis import PauliOp, format_pauli, parse_pauli, random_pauli, weight
+from twirlkit.paulis import PauliOp, _columns, format_pauli, parse_pauli, random_pauli, random_paulis, weight
 from twirlkit.tableau import (
     apply_gates,
     compose,
@@ -561,6 +561,22 @@ class TestSampledTwirl:
         assert stderr.max() > 0
         assert [a.shape for a in effective_fidelity_batch(c, [], shots, one_rng)] == [(0,), (0,)]
 
+    @pytest.mark.parametrize("mode, k", [("full", None), ("ksparse", 2)])
+    def test_one_shot_is_its_own_mean_with_zero_error(self, mode, k):
+        c = build_trotter_circuit(
+            heisenberg_1d(4), 2, 0.1, clifford_sim=True, base_noise=rz_axis_noise(0.02, 0.01, 0.005),
+            twirl_mode=mode, k=k, gadget_noise_rate=0.04,
+        )
+        rng = np.random.default_rng(22)
+        paulis = [random_pauli(4, exclude_identity=True, rng=rng) for _ in range(6)]
+        mean, stderr = effective_fidelity_batch(c, paulis, 1, np.random.default_rng(6))
+        draws = np.random.default_rng(6)
+        sampled = [layer for layer in reversed(c.layers) if isinstance(layer, RotationLayer) and layer.is_sampled]
+        gadgets = [[layer.draw_gadget(draws) for layer in sampled]]
+        sample = circuits._walk(c, *_columns(paulis, c.n), len(paulis), gadgets)[0]
+        assert np.array_equal(mean, sample) and len(set(sample.tolist())) > 1
+        assert stderr.dtype == np.float64 and stderr.tolist() == [0.0] * len(paulis)
+
     def test_sampled_requires_rng(self):
         noise = rz_axis_noise(0.02, 0.02, 0.0)
         c = build_trotter_circuit(heisenberg_1d(3), 1, 0.1, base_noise=noise, twirl_mode="full")
@@ -653,6 +669,15 @@ class TestRescalingAndBias:
             ch = layer_noise_channel(layer) if isinstance(layer, RotationLayer) else layer.channel
             expected *= avg_noise_strength(ch) / unitarity(ch)
         assert optimal_rescale_coefficient(LogicalCircuit(n, tuple(layers))) == expected
+
+    def test_one_observable_is_its_own_mean_with_zero_error(self):
+        noise = rz_axis_noise(0.05, 0.04, 0.0)
+        c = build_trotter_circuit(heisenberg_1d(4), 2, 0.1, clifford_sim=True, base_noise=noise)
+        mean, err = average_bias(c, 1, rng=np.random.default_rng(24))
+        (p,) = random_paulis(c.n, 1, exclude_identity=True, rng=np.random.default_rng(24))
+        fidelity, _ = effective_fidelity(c, p)
+        assert mean == abs(optimal_rescale_coefficient(c) * abs(fidelity) - 1.0) > 0
+        assert type(err) is float and err == 0.0
 
     def test_bias_requires_rng(self):
         c = build_trotter_circuit(heisenberg_1d(3), 1, 0.1)

@@ -461,6 +461,39 @@ def test_rule_violations_are_config_errors(tmp_path, capsys, subcommand, doc, me
 
 
 # ---------------------------------------------------------------------------
+# the CSV contract: main appends the config hash and records the CSV it wrote
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "subcommand,doc",
+    [
+        ("bias-scan", NOISY_BIAS),
+        ("gadget-scan", {"model": "heisenberg_1d", "sizes": [3], "steps": 1, "noise": {"px": 1}, "p_tot": 0.1,
+                         "modes": [{"mode": "none"}, {"mode": "full"}], "ratios": [0, 0.5], "num_paulis": 4,
+                         "shots": 2, "seed": 3}),
+        ("overhead", {"p_err": 1e-3, "n": 4, "num_layers": [10, 100, 1000]}),
+        ("wn-bound", {"n_list": [2, 3], "num_layers": [10, 100], "p_tot": 1.0}),
+        ("distance-scan", dict(DISTANCE, t_list=[1], seed=4)),
+    ],
+)
+def test_every_scan_keeps_the_csv_contract(tmp_path, subcommand, doc):
+    cfg = write_config(tmp_path, "c.json", doc)
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", cfg, "--out", str(out), "--seed", "9"]) == 0
+    stem = subcommand.replace("-", "_")
+    manifest = json.loads((out / f"{stem}_manifest.json").read_text())
+    jsonschema.Draft202012Validator(_schema("manifest")).validate(manifest)
+    assert manifest["config_sha256"] == load_config(cfg, subcommand)[1]
+    assert manifest["subcommand"] == subcommand and manifest["seed"] == 9
+    assert manifest["csv"] == f"{stem}.csv"
+    header, rows = read_csv(out / manifest["csv"])
+    assert header[-1] == "config_sha256" and header.count("config_sha256") == 1
+    assert len(rows) == manifest["rows"] > 0
+    assert all(len(row) == len(header) and row[-1] == manifest["config_sha256"] for row in rows)
+
+
+# ---------------------------------------------------------------------------
 # frozen scan values
 # ---------------------------------------------------------------------------
 

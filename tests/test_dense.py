@@ -33,6 +33,7 @@ from twirlkit.circuits import (
     LogicalCircuit,
     NoiseLayer,
     RotationLayer,
+    _resolve_rates,
     build_trotter_circuit,
     effective_fidelity,
     heisenberg_1d,
@@ -432,6 +433,17 @@ class TestDistances:
         assert abs(got[0] - np.mean(vals)) < 1e-14
         assert abs(got[1] - np.std(vals, ddof=1) / math.sqrt(num_bases)) < 1e-14
 
+    def test_one_basis_is_its_own_mean_with_zero_error(self):
+        n = 3
+        rng = np.random.default_rng(57)
+        a = DensityMatrix.haar_random_pure(n, rng).entries
+        b = DensityMatrix.haar_random_pure(n, rng).entries
+        mean, err = _tv_raw(a, b, n, 1, np.random.default_rng(58), False)
+        u = clifford_unitary(n, tuple(decompose_gates(random_clifford(n, np.random.default_rng(58)))))
+        p, q_ = (((u @ m) * u.conj()).sum(1).real for m in (a, b))
+        assert mean == 0.5 * float(np.abs(p - q_).sum()) > 0
+        assert type(err) is float and err == 0.0
+
     def test_rescaled_white_noise_cancels_exactly(self):
         n, p = 2, 0.25
         rho = DensityMatrix.haar_random_pure(n, np.random.default_rng(16))
@@ -713,6 +725,20 @@ class TestDistanceScan:
         assert row["p_err"] == pytest.approx(0.05)
         assert row["r"] > 1.0
         assert 0.0 <= row["tv_distance"] <= row["trace_distance"] + 1e-9
+
+    def test_one_input_is_its_own_mean_with_zero_error(self):
+        n, steps, theta, p_tot, num_bases = 3, 2, 0.25, 0.6, 2
+        (row,) = rescaled_distance_scan([n], [steps], theta, p_tot, 1, num_bases, np.random.default_rng(29))
+        model = heisenberg_1d(n)
+        rates = _resolve_rates((1.0, 1.0, 1.0), p_tot, steps * len(model.terms()))
+        c = build_trotter_circuit(model, steps, theta, base_noise=rz_axis_noise(*rates), twirl_mode="analytic_full")
+        rng = np.random.default_rng(29)
+        ideal, noisy = simulate_pair(c, DensityMatrix.haar_random_pure(n, rng))
+        combo = row["r"] * noisy.entries + (1 - row["r"]) * np.eye(2**n) / 2**n
+        assert row["trace_distance"] == 0.5 * float(np.abs(np.linalg.eigvalsh(ideal.entries - combo)).sum()) > 0
+        assert row["tv_distance"] == _tv_raw(ideal.entries, combo, n, num_bases, rng, False)[0] > 0
+        assert row["trace_stderr"] == 0.0 and row["tv_stderr"] == 0.0
+        assert type(row["trace_stderr"]) is float and type(row["tv_stderr"]) is float
 
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
