@@ -352,20 +352,20 @@ class PauliEnsemble:
     """Uniform distribution over a structured set of unsigned n-qubit Paulis.
 
     The factors' registers must partition {0, …, n−1}.  An optional Clifford
-    frame, kept only as its gate sequence, conjugates every member;
+    frame, kept only as its gate sequence (``()`` when there is none),
+    conjugates every member;
     statistical queries replay the inverse gate list on the query Pauli
     instead of materializing the conjugated set.
     """
 
     n: int
     factors: tuple[Factor, ...]
-    frame_gates: tuple[GateSpec, ...] | None = None
+    frame_gates: tuple[GateSpec, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", tuple(self.factors))
-        if self.frame_gates is not None:
-            object.__setattr__(self, "frame_gates", tuple(self.frame_gates))
-            _check_qubits(self.n, self.frame_gates)
+        object.__setattr__(self, "frame_gates", tuple(self.frame_gates or ()))  # None reads as no frame
+        _check_qubits(self.n, self.frame_gates)
         covered: set[int] = set()
         for f in self.factors:
             if covered & set(f.register):
@@ -376,7 +376,7 @@ class PauliEnsemble:
 
     @cached_property
     def _frame_inv_gates(self) -> tuple[GateSpec, ...]:
-        return tuple(invert_gates(self.frame_gates or ()))
+        return tuple(invert_gates(self.frame_gates))
 
     @property
     def cardinality(self) -> int:
@@ -423,7 +423,7 @@ class PauliEnsemble:
             dx, dz = _place(f.register, f.sample_local(rng))
             x |= dx
             z |= dz
-        return apply_gates(PauliOp(self.n, x, z), self.frame_gates or ()).unsigned()
+        return apply_gates(PauliOp(self.n, x, z), self.frame_gates).unsigned()
 
     def members(self):
         """Iterate all members; only sensible for small cardinalities."""
@@ -436,7 +436,7 @@ class PauliEnsemble:
                 dx, dz = _place(f.register, local)
                 x |= dx
                 z |= dz
-            yield apply_gates(PauliOp(self.n, x, z), self.frame_gates or ()).unsigned()
+            yield apply_gates(PauliOp(self.n, x, z), self.frame_gates).unsigned()
 
 
 def point_ensemble(p: PauliOp) -> PauliEnsemble:

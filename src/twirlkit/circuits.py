@@ -319,54 +319,48 @@ class LogicalCircuit:
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """A lattice Hamiltonian with open boundaries on an Lx×Ly grid.
+    """A lattice Hamiltonian as its Trotter terms: (axis, coupling) pairs in per-step order.
 
-    ``couplings`` holds the model parameters: exchange ``j``, transverse
-    field ``h``, hopping ``t_hop``, and on-site repulsion ``u_int``; unused
-    entries stay zero.  Use the factory helpers rather than the constructor.
+    Use the factory helpers rather than the constructor.  A model without
+    terms has nothing to Trotterize and is rejected.
     """
 
-    kind: str
-    lx: int
-    ly: int
-    j: float = 0.0
-    h: float = 0.0
-    t_hop: float = 0.0
-    u_int: float = 0.0
+    n_qubits: int
+    trotter_terms: tuple[tuple[PauliOp, float], ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in ("heisenberg_2d", "tfim_2d", "fermi_hubbard_2d", "heisenberg_1d"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.lx < 1 or self.ly < 1:
-            raise ValueError("grid dimensions must be positive")
+        object.__setattr__(self, "trotter_terms", tuple(self.trotter_terms))
+        if not self.trotter_terms:
+            raise ValueError(f"the model on {self.n_qubits} qubits has no Trotter terms")
 
-    @property
-    def n_qubits(self) -> int:
-        sites = self.lx * self.ly
-        return 2 * sites if self.kind == "fermi_hubbard_2d" else sites
-
-    def terms(self) -> list[tuple[PauliOp, float]]:
+    def terms(self) -> tuple[tuple[PauliOp, float], ...]:
         """(axis, coupling) pairs in the canonical per-step order."""
-        if self.kind in ("heisenberg_2d", "heisenberg_1d"):
-            return _heisenberg_terms(self.lx, self.ly, self.j)
-        if self.kind == "tfim_2d":
-            return _tfim_terms(self.lx, self.ly, self.j, self.h)
-        return _fermi_hubbard_terms(self.lx, self.ly, self.t_hop, self.u_int)
+        return self.trotter_terms
 
 
 def heisenberg_2d(lx: int, ly: int, j: float = 1.0) -> HamiltonianModel:
-    """Nearest-neighbour XX+YY+ZZ exchange on an open Lx×Ly grid."""
-    return HamiltonianModel("heisenberg_2d", lx, ly, j=j)
+    """Nearest-neighbour XX+YY+ZZ exchange on an open Lx×Ly grid.
+
+    Bond-major order: each bond contributes its XX, YY, ZZ rotations
+    consecutively, i.e. the step Trotterizes exp(-i dt(XX+YY+ZZ)) bond by
+    bond.  The grouping matters: it sets how per-layer fidelity fluctuations
+    accumulate over a step, and with it the bias-vs-n scaling.
+    """
+    n = lx * ly
+    bonds = _grid_bonds(lx, ly)
+    return HamiltonianModel(n, [(_two_site_axis(n, a, b, letter), j) for a, b in bonds for letter in "XYZ"])
 
 
 def heisenberg_1d(length: int, j: float = 1.0) -> HamiltonianModel:
     """Nearest-neighbour XX+YY+ZZ exchange on an open chain."""
-    return HamiltonianModel("heisenberg_1d", length, 1, j=j)
+    return heisenberg_2d(length, 1, j)
 
 
 def tfim_2d(lx: int, ly: int, h: float = 1.0, j: float = 1.0) -> HamiltonianModel:
     """ZZ bonds plus a transverse X field on an open Lx×Ly grid."""
-    return HamiltonianModel("tfim_2d", lx, ly, j=j, h=h)
+    n = lx * ly
+    zz = [(_two_site_axis(n, a, b, "Z"), j) for a, b in _grid_bonds(lx, ly)]
+    return HamiltonianModel(n, zz + [(PauliOp(n, 1 << q, 0), h) for q in range(n)])
 
 
 def fermi_hubbard_2d(lx: int, ly: int, t_hop: float = 1.0, u_int: float = 1.0) -> HamiltonianModel:
@@ -376,11 +370,24 @@ def fermi_hubbard_2d(lx: int, ly: int, t_hop: float = 1.0, u_int: float = 1.0) -
     site adjacent, so on-site interactions stay weight-2 and hopping becomes
     X/Y strings with a Z-filled interior.
     """
-    return HamiltonianModel("fermi_hubbard_2d", lx, ly, t_hop=t_hop, u_int=u_int)
+    sites = lx * ly
+    n = 2 * sites
+
+    def snake(s: int) -> int:
+        y, x = divmod(s, lx)
+        return y * lx + (x if y % 2 == 0 else lx - 1 - x)
+
+    hops = [(2 * snake(a) + spin, 2 * snake(b) + spin) for a, b in _grid_bonds(lx, ly) for spin in (0, 1)]
+    terms = [(_hopping_axis(n, i, j, letter), -t_hop / 2) for letter in "XY" for i, j in hops]
+    terms += [(_two_site_axis(n, 2 * s, 2 * s + 1, "Z"), u_int / 4) for s in range(sites)]
+    terms += [(PauliOp(n, 0, 1 << q), -u_int / 4) for q in range(n)]
+    return HamiltonianModel(n, terms)
 
 
 def _grid_bonds(lx: int, ly: int) -> list[tuple[int, int]]:
     """Nearest-neighbour bonds of an open grid, row-major site indices."""
+    if lx < 1 or ly < 1:
+        raise ValueError("grid dimensions must be positive")
     bonds = []
     for y in range(ly):
         for x in range(lx - 1):
@@ -403,23 +410,6 @@ def _two_site_axis(n: int, a: int, b: int, letter: str) -> PauliOp:
     return PauliOp(n, x, z)
 
 
-def _heisenberg_terms(lx: int, ly: int, j: float) -> list[tuple[PauliOp, float]]:
-    # Bond-major order: each bond contributes its XX, YY, ZZ rotations
-    # consecutively, i.e. the step Trotterizes exp(-i dt(XX+YY+ZZ)) bond by
-    # bond.  The grouping matters: it sets how per-layer fidelity
-    # fluctuations accumulate over a step, and with it the bias-vs-n scaling.
-    n = lx * ly
-    bonds = _grid_bonds(lx, ly)
-    return [(_two_site_axis(n, a, b, letter), j) for a, b in bonds for letter in "XYZ"]
-
-
-def _tfim_terms(lx: int, ly: int, j: float, h: float) -> list[tuple[PauliOp, float]]:
-    n = lx * ly
-    terms = [(_two_site_axis(n, a, b, "Z"), j) for a, b in _grid_bonds(lx, ly)]
-    terms += [(PauliOp(n, 1 << q, 0), h) for q in range(n)]
-    return terms
-
-
 def _hopping_axis(n: int, i: int, j: int, letter: str) -> PauliOp:
     """X/Y endpoints at modes i < j with a Z string in between."""
     lo, hi = min(i, j), max(i, j)
@@ -431,27 +421,6 @@ def _hopping_axis(n: int, i: int, j: int, letter: str) -> PauliOp:
     for q in range(lo + 1, hi):
         z |= 1 << q
     return PauliOp(n, x, z)
-
-
-def _fermi_hubbard_terms(lx: int, ly: int, t_hop: float, u_int: float) -> list[tuple[PauliOp, float]]:
-    sites = lx * ly
-    n = 2 * sites
-
-    def snake(s: int) -> int:
-        y, x = divmod(s, lx)
-        return y * lx + (x if y % 2 == 0 else lx - 1 - x)
-
-    site_bonds = [(snake(a), snake(b)) for a, b in _grid_bonds(lx, ly)]
-
-    hops = [(2 * a + spin, 2 * b + spin) for a, b in site_bonds for spin in (0, 1)]
-    terms: list[tuple[PauliOp, float]] = []
-    for letter in "XY":
-        terms += [(_hopping_axis(n, i, j, letter), -t_hop / 2) for i, j in hops]
-    for s in range(sites):
-        terms.append((_two_site_axis(n, 2 * s, 2 * s + 1, "Z"), u_int / 4))
-    for q in range(n):
-        terms.append((PauliOp(n, 0, 1 << q), -u_int / 4))
-    return terms
 
 
 def build_trotter_circuit(

@@ -24,7 +24,7 @@ Exit codes: 0 success, 2 configuration error, 3 dense-cap exceeded,
 
 The twirl-mode and noise-budget rules live in ``circuits``; ``_config_rules``
 reports their ValueError as a configuration error.  A scan checks its whole
-grid against them before it runs any row.
+grid by building every row's circuit before it runs any row.
 """
 
 from __future__ import annotations
@@ -210,38 +210,35 @@ def _bias_grid_scan(config: dict, seed: int, threads: int, grid: list) -> list[l
     num_paulis = config.get("num_paulis", 1000)
     shots = config.get("shots", 1000)
     weights = _noise_weights(config, (0.0, 0.0, 0.0))
-    plans = []  # the whole grid is checked before any row runs
-    for size, mode_cfg, ratio in grid:
-        model = _build_model(config["model"], size)
-        mode, k = mode_cfg["mode"], mode_cfg.get("k")
-        with _config_rules():
+    plans = []  # every row's circuit is built, and so checked, before any row runs
+    with _config_rules():
+        for size, mode_cfg, ratio in grid:
+            model = _build_model(config["model"], size)
+            mode, k = mode_cfg["mode"], mode_cfg.get("k")
             rates = _resolve_rates(weights, config.get("p_tot"), steps * len(model.terms()))
             sweep_gadget = config.get("gadget_noise_rate", 0.0) if ratio is None else ratio * sum(rates)
             # only sampled modes insert gadgets, so only they can suffer gadget noise
             gadget = sweep_gadget if _draws_gadgets(mode) else 0.0
-            _check_twirl_mode(mode, k, model.n_qubits, gadget)
-        extra = [] if ratio is None else [sweep_gadget]
-        plans.append((model, mode, k, rates, gadget, extra))
+            noise = rz_axis_noise(*rates)
+            circuit = build_trotter_circuit(
+                model, steps, dt, clifford_sim, base_noise=noise, twirl_mode=mode, k=k, gadget_noise_rate=gadget
+            )
+            if any(layer.rotation_kind == "generic" for layer in circuit.rotation_layers()):
+                raise ValueError(
+                    f"clifford_sim is false and dt = {dt} gives non-Clifford rotation angles, "
+                    "through which random observables cannot be propagated: set clifford_sim to true"
+                )
+            plans.append((circuit, _mode_label(mode, k), [] if ratio is None else [sweep_gadget]))
 
     def work(i: int) -> list:
-        model, mode, k, rates, gadget, extra = plans[i]
+        circuit, label, extra = plans[i]
         start = time.perf_counter()
-        circuit = build_trotter_circuit(
-            model,
-            steps,
-            dt,
-            clifford_sim,
-            base_noise=rz_axis_noise(*rates),
-            twirl_mode=mode,
-            k=k,
-            gadget_noise_rate=gadget,
-        )
         rng = np.random.default_rng(children[i])
         mean, err = average_bias(circuit, num_paulis, shots, rng)
         rescale = optimal_rescale_coefficient(circuit)
         v = _layer_distance_v(circuit)
         runtime_ms = (time.perf_counter() - start) * 1e3
-        return [circuit.n, _mode_label(mode, k), *extra, mean, err, rescale, v, runtime_ms]
+        return [circuit.n, label, *extra, mean, err, rescale, v, runtime_ms]
 
     return _parallel(work, len(grid), threads)
 
@@ -315,7 +312,7 @@ def cmd_wn_bound(config: dict, seed: int, threads: int) -> tuple[list, list]:
 
 
 def cmd_distance_scan(config: dict, seed: int, threads: int) -> tuple[list, list]:
-    from .dense import _SCAN_MODEL, dense_cap, rescaled_distance_scan
+    from .dense import _scan_circuit, dense_cap, rescaled_distance_scan
 
     biggest = max(config["n_list"])
     if biggest > dense_cap():
@@ -326,12 +323,10 @@ def cmd_distance_scan(config: dict, seed: int, threads: int) -> tuple[list, list
     weights = _noise_weights(config, (1.0, 1.0, 1.0))
     mode = config.get("twirl_mode", "analytic_full")
     k = config.get("k")
-    with _config_rules():
+    with _config_rules():  # every (n, T) circuit is built, and so checked, before the scan runs
         for n in config["n_list"]:
-            model = _SCAN_MODEL(n)
-            _check_twirl_mode(mode, k, model.n_qubits)
             for steps in config["t_list"]:
-                _resolve_rates(weights, config["p_tot"], steps * len(model.terms()))
+                _scan_circuit(n, steps, config["theta"], config["p_tot"], weights, mode, k)
     result = rescaled_distance_scan(
         config["n_list"],
         config["t_list"],

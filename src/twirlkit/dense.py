@@ -78,7 +78,6 @@ _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _PSD_TOL = -1e-9
 _EAGER_PSD_DIM = 128  # full eigen-check on construction up to this size
-_SCAN_MODEL = heisenberg_1d  # the model of ``rescaled_distance_scan``
 
 
 def dense_cap() -> int:
@@ -454,8 +453,12 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the sum of absolute eigenvalues of the difference."""
     if rho.n != sigma.n:
         raise ValueError("dimension mismatch")
-    eigs = np.linalg.eigvalsh(rho.entries - sigma.entries)
-    return 0.5 * float(np.abs(eigs).sum())
+    return _trace_distance_raw(rho.entries, sigma.entries)
+
+
+def _trace_distance_raw(a: np.ndarray, b: np.ndarray) -> float:
+    """0.5·Σ|eig(a − b)| of Hermitian arrays, which need not be valid states."""
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
 def tv_distance_random_bases(
@@ -611,16 +614,10 @@ def rescaled_distance_scan(
     """
     rows = []
     for n in n_list:
-        model = _SCAN_MODEL(n)
         for t in t_list:
-            if t < 1:
-                raise ValueError("need at least one Trotter step")
-            num_layers = t * len(model.terms())
+            c = _scan_circuit(n, t, theta, p_tot, noise_weights, twirl_mode, k)
+            num_layers = c.num_rotation_layers
             p_err = p_tot / num_layers
-            rates = _resolve_rates(noise_weights, p_tot, num_layers)
-            c = build_trotter_circuit(
-                model, t, theta, base_noise=rz_axis_noise(*rates), twirl_mode=twirl_mode, k=k
-            )
             r = optimal_rescale_coefficient(c)
             dim = 2**c.n
             tds = np.empty(num_inputs)
@@ -631,7 +628,7 @@ def rescaled_distance_scan(
                 # the rescaled combination may dip slightly below positivity,
                 # so compare raw matrices without re-validating
                 combo = r * noisy.entries + (1 - r) * np.eye(dim) / dim
-                tds[i] = 0.5 * float(np.abs(np.linalg.eigvalsh(ideal.entries - combo)).sum())
+                tds[i] = _trace_distance_raw(ideal.entries, combo)
                 mean_tv, _ = _tv_raw(ideal.entries, combo, c.n, num_bases, rng, haar_bases)
                 tvs[i] = mean_tv
             (td, td_err), (tv, tv_err) = _mean_stderr(tds), _mean_stderr(tvs)
@@ -650,6 +647,18 @@ def rescaled_distance_scan(
                 }
             )
     return rows
+
+
+def _scan_circuit(
+    n: int, steps: int, theta: float, p_tot: float, noise_weights: tuple, twirl_mode: str, k: int | None
+) -> LogicalCircuit:
+    """The distance scan's circuit at (n, T): the n-site Heisenberg chain's Trotter circuit
+    with every angle theta and p_tot split over its layers."""
+    if steps < 1:
+        raise ValueError("need at least one Trotter step")
+    model = heisenberg_1d(n)
+    rates = _resolve_rates(noise_weights, p_tot, steps * len(model.terms()))
+    return build_trotter_circuit(model, steps, theta, base_noise=rz_axis_noise(*rates), twirl_mode=twirl_mode, k=k)
 
 
 def _tv_raw(

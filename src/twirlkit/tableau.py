@@ -29,7 +29,9 @@ even-bit mask of the symplectic form is sized per call, so any n works.
 Tableaus are for sampling, synthesis and checks.  Everywhere else a Clifford
 is kept as its gate list (rotation frames, symmetry frames, Clifford layers,
 twirling gadgets) and acts on Paulis through ``apply_gates`` or, on column
-batches, ``_apply_gate``.
+batches, ``_apply_gate``.  Tableau algebra goes through gate lists too:
+``from_gates`` builds every tableau that composition, inversion and the
+identity return, and ``conjugate`` is the one action on the stored images.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .paulis import PauliOp, _columns, _transpose, commutes, identity, pauli_mul, random_bits, single
+from .paulis import PauliOp, _columns, _transpose, commutes, pauli_mul, random_bits, single
 
 _ONE_QUBIT_KINDS = ("H", "S", "X", "Y", "Z")
 _TWO_QUBIT_KINDS = ("CNOT", "CZ", "SWAP")
@@ -156,18 +158,11 @@ class CliffordOp:
         return True
 
     def is_identity(self) -> bool:
-        return all(
-            self.image_x[i] == single(self.n, i, "X") and self.image_z[i] == single(self.n, i, "Z")
-            for i in range(self.n)
-        )
+        return self == identity_clifford(self.n)
 
 
 def identity_clifford(n: int) -> CliffordOp:
-    return CliffordOp(
-        n,
-        tuple(single(n, i, "X") for i in range(n)),
-        tuple(single(n, i, "Z") for i in range(n)),
-    )
+    return from_gates(n, ())
 
 
 def conjugate(c: CliffordOp, p: PauliOp) -> PauliOp:
@@ -187,39 +182,15 @@ def conjugate(c: CliffordOp, p: PauliOp) -> PauliOp:
 
 
 def compose(a: CliffordOp, b: CliffordOp) -> CliffordOp:
-    """Tableau of "apply b, then a" (the operator product a·b)."""
+    """Tableau of "apply b, then a" (the operator product a·b): b's gates, then a's."""
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n} qubits")
-    return CliffordOp(
-        a.n,
-        tuple(conjugate(a, p) for p in b.image_x),
-        tuple(conjugate(a, p) for p in b.image_z),
-    )
+    return from_gates(a.n, decompose_gates(b) + decompose_gates(a))
 
 
 def inverse(c: CliffordOp) -> CliffordOp:
-    """Tableau of C†.
-
-    Conjugation preserves the symplectic form, so the bits of C† X_j C read
-    straight off the images: at qubit q its x bit is z_j(C Z_q C†) and its z
-    bit is z_j(C X_q C†).  C† Z_j C reads the x_j bits the same way.  Signs
-    are then fixed by requiring conjugate(C, candidate) == generator exactly.
-    """
-    n = c.n
-
-    def preimage(g: PauliOp) -> PauliOp:
-        # x_q = <g, C Z_q C†> and z_q = <g, C X_q C†>: the form is 1 on anticommuting Paulis
-        x = sum((not commutes(g, img)) << q for q, img in enumerate(c.image_z))
-        z = sum((not commutes(g, img)) << q for q, img in enumerate(c.image_x))
-        cand = PauliOp(n, x, z)
-        # Hermitian images differ from the target by at most a sign
-        return cand.with_phase(g.phase - conjugate(c, cand).phase)
-
-    return CliffordOp(
-        n,
-        tuple(preimage(single(n, j, "X")) for j in range(n)),
-        tuple(preimage(single(n, j, "Z")) for j in range(n)),
-    )
+    """Tableau of C†: the reversed, inverted gate list of C."""
+    return from_gates(c.n, invert_gates(decompose_gates(c)))
 
 
 def _check_qubits(n: int, gates: list[GateSpec] | tuple[GateSpec, ...]) -> None:
@@ -282,19 +253,17 @@ def invert_gates(gates: list[GateSpec] | tuple[GateSpec, ...]) -> list[GateSpec]
 @lru_cache(maxsize=1)
 def single_qubit_clifford_words() -> tuple[tuple[str, ...], ...]:
     """Shortest {H,S} words for all 24 single-qubit Clifford tableaus (BFS)."""
-    start = identity_clifford(1)
-    seen: dict[tuple, tuple[str, ...]] = {(start.image_x[0], start.image_z[0]): ()}
-    frontier = [(start, ())]
+    start = (single(1, 0, "X"), single(1, 0, "Z"))  # a tableau as its (X, Z) images
+    seen: dict[tuple, tuple[str, ...]] = {start: ()}
+    frontier = [start]
     while frontier:
         nxt = []
-        for tab, word in frontier:
+        for images in frontier:
             for kind in ("H", "S"):
-                g = (GateSpec(kind, (0,)),)
-                tab2 = CliffordOp(1, (apply_gates(tab.image_x[0], g),), (apply_gates(tab.image_z[0], g),))
-                key = (tab2.image_x[0], tab2.image_z[0])
+                key = tuple(apply_gates(p, (GateSpec(kind, (0,)),)) for p in images)
                 if key not in seen:
-                    seen[key] = word + (kind,)
-                    nxt.append((tab2, word + (kind,)))
+                    seen[key] = seen[images] + (kind,)
+                    nxt.append(key)
         frontier = nxt
     assert len(seen) == 24
     return tuple(sorted(seen.values()))

@@ -248,7 +248,6 @@ def twirl_channel(ch: PauliChannel, spec: SymmetrySpec) -> PauliChannel:
     if ch.n != spec.n:
         raise ValueError("channel and symmetry dimensions differ")
     reg1, reg2, reg3 = spec.registers
-    frame = spec._frame_inv_gates if spec.w_gates else None
     new_atoms: list[tuple[float, PauliEnsemble]] = []
     for prob, e in ch.atoms:
         p = _point_member(e)
@@ -266,14 +265,14 @@ def twirl_channel(ch: PauliChannel, spec: SymmetrySpec) -> PauliChannel:
                     factors.append(DiagonalIZFactor((q,)))
             if reg3:
                 factors.append(FullGroupFactor(reg3))
-            new_atoms.append((prob, PauliEnsemble(ch.n, tuple(factors), frame)))
+            new_atoms.append((prob, PauliEnsemble(ch.n, tuple(factors), spec._frame_inv_gates)))
         elif p3 is not None and not p3.is_identity:
             factors = []
             if reg1:
                 factors.append(PointFactor(reg1, pf.restrict(reg1)))
             factors.append(DiagonalIZFactor(reg2))
             factors.append(FullGroupMinusIdentityFactor(reg3))
-            new_atoms.append((prob, PauliEnsemble(ch.n, tuple(factors), frame)))
+            new_atoms.append((prob, PauliEnsemble(ch.n, tuple(factors), spec._frame_inv_gates)))
         else:
             new_atoms.append((prob, e))
     return PauliChannel(ch.n, tuple(new_atoms))

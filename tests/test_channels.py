@@ -14,6 +14,8 @@ from twirlkit.channels import (
     PointFactor,
     WeightAtMostFactor,
     XYSetFactor,
+    _disjoint_pieces,
+    _merged_atoms,
     avg_noise_strength,
     diamond_distance_normalized,
     distance_v,
@@ -116,6 +118,16 @@ def test_ensemble_register_partition_enforced():
         PointFactor((0,), parse_pauli("-X"))
     with pytest.raises(ValueError):  # a frame gate on qubit 2 >= n = 2
         PauliEnsemble(2, (XYSetFactor((0,)), XYSetFactor((1,))), (gate("CNOT", 0, 2),))
+
+
+def test_no_frame_has_one_spelling():
+    factors = (XYSetFactor((0,)), FullGroupFactor((1,)))
+    default, empty, none = (PauliEnsemble(2, factors), PauliEnsemble(2, factors, ()), PauliEnsemble(2, factors, None))
+    assert default.frame_gates == empty.frame_gates == none.frame_gates == ()
+    assert default == empty == none and hash(default) == hash(empty) == hash(none)
+    ch = PauliChannel(2, ((0.1, default), (0.2, empty), (0.05, none)))
+    assert _merged_atoms(ch) == [(pytest.approx(0.35), default)]
+    assert _disjoint_pieces(ch) == [(8, pytest.approx(0.35))]
 
 
 # ---------------------------------------------------------------------------

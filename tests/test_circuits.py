@@ -141,6 +141,15 @@ class TestTrotterBuilders:
             label = format_pauli(axis).strip("I")
             assert set(label[1:-1]) <= {"Z"} and label[0] == label[-1]
 
+    def test_chain_is_the_one_row_grid(self):
+        assert heisenberg_1d(4, j=0.3) == heisenberg_2d(4, 1, j=0.3)
+        assert heisenberg_1d(4).n_qubits == 4
+
+    def test_model_without_terms_is_rejected(self):
+        for build in (lambda: heisenberg_1d(1), lambda: heisenberg_2d(1, 1), lambda: fermi_hubbard_2d(0, 2)):
+            with pytest.raises(ValueError):
+                build()
+
     def test_trotter_applies_noise_settings(self):
         noise = rz_axis_noise(0.01, 0.0, 0.02)
         c = build_trotter_circuit(

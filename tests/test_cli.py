@@ -327,6 +327,16 @@ class TestBiasScan:
         assert main(["bias-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert calls == []
 
+    def test_non_clifford_angles_are_a_config_error(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(twirlkit.cli, "average_bias", lambda *args: calls.append(args))
+        doc = dict(NOISY_BIAS, clifford_sim=False, dt=0.1)
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main(["bias-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "clifford_sim" in err
+        assert calls == []
+
     def test_size_shape_mismatch_is_config_error(self, tmp_path, capsys):
         doc = dict(NOISY_BIAS, model="heisenberg_2d", sizes=[3])
         cfg = write_config(tmp_path, "c.json", doc)
@@ -458,6 +468,30 @@ def test_rule_violations_are_config_errors(tmp_path, capsys, subcommand, doc, me
     assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+
+
+GADGET_SINGLE_SITE = {"model": "heisenberg_2d", "sizes": [[1, 1]], "steps": 1, "noise": {"px": 1},
+                      "modes": [{"mode": "full"}], "ratios": [0.1], "num_paulis": 2, "shots": 2}
+
+
+@pytest.mark.parametrize(
+    "subcommand,doc",
+    [
+        ("bias-scan", dict(NOISY_BIAS, model="heisenberg_2d", sizes=[[1, 1]])),
+        ("bias-scan", {**{key: v for key, v in NOISY_BIAS.items() if key != "p_tot"},
+                       "model": "heisenberg_2d", "sizes": [[1, 1]], "noise": {"px": 0.01}}),
+        ("gadget-scan", dict(GADGET_SINGLE_SITE, p_tot=0.1)),
+        ("gadget-scan", dict(GADGET_SINGLE_SITE, noise={"px": 0.01})),
+    ],
+)
+def test_model_without_trotter_terms_is_a_config_error(tmp_path, capsys, monkeypatch, subcommand, doc):
+    calls = []
+    monkeypatch.setattr(twirlkit.cli, "average_bias", lambda *args: calls.append(args))
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "no Trotter terms" in err
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

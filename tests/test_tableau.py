@@ -174,13 +174,17 @@ def test_conjugate_is_automorphism():
 
 
 def test_compose_against_gate_concatenation():
+    # compose and inverse are built from gate lists; conjugate reads the stored
+    # images, so it checks them independently
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        ca = random_clifford(3, rng)
-        cb = random_clifford(3, rng)
-        ga, gb = decompose_gates(ca), decompose_gates(cb)
-        # apply gb first, then ga  ==  compose(ca, cb)
-        assert from_gates(3, gb + ga) == compose(ca, cb)
+    for n in range(1, 7):
+        for _ in range(4):
+            a, b, c = (random_clifford(n, rng) for _ in range(3))
+            ab, c_inv = compose(a, b), inverse(c)
+            for _ in range(6):
+                p = random_pauli(n, rng=rng).with_phase(int(rng.integers(4)))
+                assert conjugate(ab, p) == conjugate(a, conjugate(b, p))
+                assert conjugate(c_inv, conjugate(c, p)) == p
 
 
 def test_inverse_roundtrip():
