@@ -22,19 +22,26 @@ package's other memos.
 
 The walk replays a rotation layer's gates once, forward only.  A copy of the
 rows goes through the frame V and, in the sampled modes, each shot's drawn
-gadget D inverted, on its own copy; the fidelity is read there.  The rows
+gadget D acts inverted on its own copy; the fidelity is read there.  The rows
 themselves take the rotation about the axis Q as P → P·Q when P anticommutes
 with Q, and stay P otherwise: the anticommutation mask is XORed into the
 columns of Q's support.  Three facts make this exact: (1) a symmetric gadget
 D fixes Z on qubit 0, so the copy's qubit-0 x-bit is that anticommutation
 bit; (2) the rotation only swaps X and Y on qubit 0, so the gadget's second
 depolarizing factor, set by the weight on its support, reads the same on the
-copy as after the rotation; (3) the gadgets are drawn shot-major per chunk of
-shots, in walk order within a shot, so the random stream does not depend on
-how the gates are replayed.  Since the rows never see a gadget, the shots of
-a chunk share one walk: frames, Clifford layers and rotations are replayed
-once per chunk, and the gadget copies are stacked shot-major in the bit
-width, so one unpack per layer reads every shot's letter and weights.
+copy as after the rotation; (3) signs do not enter a fidelity, and without
+signs a gadget is GF(2)-linear on the copy's bits: its S is z0 ^= x0, each
+local Clifford one of six 2×2 maps on (x_t, z_t), its CNOT fan x_t ^= x0 and
+z0 ^= z_t, so a gadget is a set of bit masks and never a gate replay.  Since
+the rows never see a gadget, the shots of a chunk share one walk: frames,
+Clifford layers and rotations are replayed once per chunk.  The gadget
+copies are stacked shot-major in the bit width (the framed columns times
+Σ_s 2^(s·rows)), each shot's gadget masks only its own segment, and one
+unpack per layer reads every shot's letter and weights.  A chunk draws its
+gadgets as one array of uniform doubles, shot-major and in walk order within
+a shot, which ``twirl.decode_gadgets`` turns into spread sets, local-Clifford
+indices and S bits; that is the stream of one ``draw_gadget`` per shot and
+layer, so it does not depend on the chunking.
 
 A rotation layer decides whether it samples (``is_sampled``) and draws its
 own gadgets (``draw_gadget``); a circuit samples when one of its layers does.
@@ -68,8 +75,9 @@ from .channels import _PROB_TOL, PauliChannel, _goodness, avg_noise_strength, fi
 from .channels import unitarity
 from .paulis import PauliOp, _columns, _unpack, _weight, random_paulis
 from .tableau import CliffordOp, GateSpec, _apply_gate, clifford_mapping_z0_to, decompose_gates, from_gates
+from .tableau import single_qubit_clifford_gates
 from .twirl import SymmetrySpec, TwirlGadget, twirl_channel, twirl_channel_ksparse
-from .twirl import sample_full_twirl_gate, sample_ksparse_twirl_gate
+from .twirl import decode_gadgets, gadget_width, sample_full_twirl_gate, sample_ksparse_twirl_gate
 
 __all__ = [
     "RotationLayer",
@@ -223,6 +231,11 @@ class RotationLayer:
     def is_sampled(self) -> bool:
         """Whether the layer draws a scrambling gadget per shot (``full``, ``ksparse``)."""
         return _draws_gadgets(self.twirl_mode)
+
+    @cached_property
+    def gadget_width(self) -> int:
+        """Uniform doubles one gadget draw reads; 0 when the layer draws none."""
+        return gadget_width(self.n, self.twirl_mode) if self.is_sampled else 0
 
     def draw_gadget(self, rng: np.random.Generator) -> TwirlGadget:
         """One scrambling gadget from the sampler of the layer's twirl mode."""
@@ -459,24 +472,80 @@ def build_trotter_circuit(
 # ---------------------------------------------------------------------------
 
 
+def _local_clifford_maps() -> np.ndarray:
+    """(24, 4) bits (A, B, C, D): the single-qubit Clifford's gates replayed in
+    reverse map a qubit's bits as x' = x&A ^ z&B, z' = x&C ^ z&D.
+
+    Read off the replay of each Clifford's reversed gates on X (row 0) and Z (row 1).
+    """
+    table = []
+    for index in range(24):
+        xs, zs = [0b01], [0b10]
+        for g in reversed(single_qubit_clifford_gates(index, 0)):
+            _apply_gate(xs, zs, 0, g)
+        table.append((xs[0] & 1, xs[0] >> 1, zs[0] & 1, zs[0] >> 1))
+    return np.array(table, dtype=bool)
+
+
+_LOCAL_MAPS = _local_clifford_maps()
+
+
+def _segments(bits: np.ndarray, rows: int) -> list[int]:
+    """Per row of a (masks, shots) bool array, the int with bits s·rows to
+    (s+1)·rows − 1 set where the row is set at shot s."""
+    packed = np.packbits(np.repeat(bits, rows, axis=1), axis=1, bitorder="little")
+    raw, size = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[i * size : (i + 1) * size], "little") for i in range(len(packed))]
+
+
+def _gadget_bits(c: LogicalCircuit, uniforms: np.ndarray) -> list[np.ndarray]:
+    """Per sampled layer in walk order, its shots' gadgets as (2 + 5(n−1), shots) mask bits.
+
+    The rows are the S bit and qubit 0's support, then per other qubit t its
+    spread bit and the bits A, B, C, D of the map that its local Clifford's
+    reversed gates make, x' = x&A ^ z&B and z' = x&C ^ z&D (the identity off
+    the spread set).  The layers of one twirl mode are decoded in one call.
+    """
+    sampled = [layer for layer in reversed(c.layers) if isinstance(layer, RotationLayer) and layer.is_sampled]
+    starts = np.cumsum([0] + [layer.gadget_width for layer in sampled])
+    groups: dict[tuple, list[int]] = {}
+    for j, layer in enumerate(sampled):
+        groups.setdefault((layer.twirl_mode, layer.k), []).append(j)
+    out = [None] * len(sampled)
+    shots, m = len(uniforms), c.n - 1
+    for (mode, k), members in groups.items():
+        columns = starts[members][:, None] + np.arange(sampled[members[0]].gadget_width)
+        spread, local, s_bit = decode_gadgets(c.n, mode, k, uniforms[:, columns])
+        maps = _LOCAL_MAPS[local] & spread[..., None]
+        maps[..., 0] |= ~spread
+        maps[..., 3] |= ~spread
+        per_qubit = np.concatenate([spread[..., None], maps], axis=-1).reshape(shots, len(members), 5 * m)
+        bits = np.concatenate([s_bit[..., None], (s_bit | spread.any(axis=-1))[..., None], per_qubit], axis=-1)
+        for j, layer_bits in zip(members, bits.transpose(1, 2, 0)):
+            out[j] = layer_bits
+    return out
+
+
 def _rotation_step(
     layer: RotationLayer,
     xs: list[int],
     zs: list[int],
     rows: int,
     lam: np.ndarray,
-    gadgets: list[TwirlGadget] | None,
+    gadgets: np.ndarray | None,
 ) -> None:
     """Back-propagate the batch through one rotation layer, updating lam (shots, rows).
 
-    A copy of the rows is taken through the frame; in the sampled modes each
-    shot's gadget is replayed, inverted, on its own copy of the framed
-    columns, and the copies are stacked shot-major in the bit width (shot s
-    holds bits s·rows to (s+1)·rows − 1).  The letter, the weight and both
-    depolarizing factors are read off the copies.  The rows take the rotation
-    as P → P·Q where the framed qubit-0 x-bit is set: a gadget fixes Z on
-    qubit 0, so that bit is the anticommutation of P with the axis for every
-    shot, and the rotation leaves the weight on the gadget's support alone.
+    A copy of the rows is taken through the frame.  In the sampled modes
+    ``gadgets`` holds the layer's ``_gadget_bits``; the framed columns are
+    replicated once per shot, stacked shot-major in the bit width (shot s
+    holds bits s·rows to (s+1)·rows − 1), and each shot's gadget acts
+    inverted, sign-free, on its own copy through segment masks.  The letter,
+    the weight and both depolarizing factors are read off the copies.  The
+    rows take the rotation as P → P·Q where the framed qubit-0 x-bit is set:
+    a gadget fixes Z on qubit 0, so that bit is the anticommutation of P with
+    the axis for every shot, and the rotation leaves the weight on the
+    gadget's support alone.
     """
     n = layer.n
     fx, fz = list(xs), list(zs)
@@ -491,27 +560,37 @@ def _rotation_step(
         else:
             lam *= table[x0 + 2 * z0, _weight(fx, fz, range(1, n), rows)]
     else:  # sampled tables are bare noise: one letter column
-        shots, p_d = len(gadgets), layer.gadget_noise_rate
-        # x0 and z0 of the gadget copies, then per qubit of each shot's support
-        # the rows acting there on the framed copy and on the gadget copy
-        stacked = [0] * (2 + 2 * n if p_d > 0 else 2)
-        for s, gadget in enumerate(gadgets):
-            gx, gz = list(fx), list(fz)
-            for g in reversed(gadget.gates):
-                _apply_gate(gx, gz, 0, g)
-            shift = s * rows
-            stacked[0] |= gx[0] << shift
-            stacked[1] |= gz[0] << shift
-            if p_d > 0:
-                for q in gadget.support:
-                    stacked[2 + q] |= (fx[q] | fz[q]) << shift
-                    stacked[2 + n + q] |= (gx[q] | gz[q]) << shift
+        shots, p_d = len(lam), layer.gadget_noise_rate
+        masks = _segments(gadgets, rows)
+        copies = sum(1 << s * rows for s in range(shots))
+        x0, z0 = fx[0] * copies, fz[0] * copies
+        # per qubit of the support, the rows acting there on the framed copy and on the gadget copy
+        on_framed, on_gadget = [(x0 | z0) & masks[1]], []
+        z0 ^= x0 & masks[0]  # the S
+        fan = 0
+        for t in range(1, n):
+            spread, a, b, c, d = masks[5 * t - 3 : 5 * t + 2]
+            if spread:
+                x, z = fx[t] * copies, fz[t] * copies
+                zt = x & c ^ z & d  # the local Clifford
+                fan ^= zt & spread  # the fan's CNOT, which also sets x ^= x0
+                if p_d > 0:
+                    on_framed.append((x | z) & spread)
+                    on_gadget.append((x & a ^ z & b ^ x0 & spread | zt) & spread)
+        z0 ^= fan
+        stacked = [x0, z0]
+        if p_d > 0:
+            stacked += [*on_framed, (x0 | z0) & masks[1], *on_gadget]
         bits = _unpack(stacked, shots * rows).reshape(len(stacked), shots, rows)
-        before, after = bits[2:].reshape(2, n, shots, rows).sum(axis=1, dtype=np.int64) if p_d > 0 else (0, 0)
-        factor = 1 - 4 * p_d / 3  # 1.0 ** 0 when the gadgets are clean
-        lam *= factor**before
-        lam *= table[bits[0] + 2 * bits[1]]
-        lam *= factor**after
+        letters = table.take(bits[0] + 2 * bits[1])
+        if p_d > 0:
+            powers = (1 - 4 * p_d / 3) ** np.arange(n + 1)
+            before, after = bits[2:].reshape(2, len(on_framed), shots, rows).sum(axis=1, dtype=np.uint16)
+            lam *= powers.take(before)
+            lam *= letters
+            lam *= powers.take(after)
+        else:
+            lam *= letters
 
     kind = layer.rotation_kind
     anti = fx[0]
@@ -529,23 +608,19 @@ def _rotation_step(
         )
 
 
-def _walk(c: LogicalCircuit, xs: list[int], zs: list[int], rows: int, draws: list) -> np.ndarray:
+def _walk(c: LogicalCircuit, xs: list[int], zs: list[int], rows: int, uniforms: np.ndarray) -> np.ndarray:
     """One back-propagation pass of a copy of the columns for a chunk of shots.
 
-    ``draws[s]`` holds shot s's gadgets in walk order; a circuit without
-    sampled layers is the one-shot case ``[()]``.  Returns the (shots, rows)
-    fidelities.
+    ``uniforms[s]`` holds shot s's gadget draws, each sampled layer's
+    ``gadget_width`` columns in walk order; a circuit without sampled layers
+    is the one-shot case of width 0.  Returns the (shots, rows) fidelities.
     """
     xs, zs = list(xs), list(zs)
-    lam = np.ones((len(draws), rows))
-    drawn = 0
+    lam = np.ones((len(uniforms), rows))
+    gadgets = iter(_gadget_bits(c, uniforms))
     for layer in reversed(c.layers):
         if isinstance(layer, RotationLayer):
-            gadgets = None
-            if layer.is_sampled:
-                gadgets = [shot[drawn] for shot in draws]
-                drawn += 1
-            _rotation_step(layer, xs, zs, rows, lam, gadgets)
+            _rotation_step(layer, xs, zs, rows, lam, next(gadgets) if layer.is_sampled else None)
         elif isinstance(layer, CliffordLayer):
             for g in reversed(layer.gates):
                 _apply_gate(xs, zs, 0, g)
@@ -576,9 +651,10 @@ def effective_fidelity_batch(
     zero error; sampled twirl modes Monte-Carlo average over gadget draws,
     sharing draws across the batch (common random numbers — each
     per-observable mean stays unbiased).  The shots run in chunks of
-    consecutive shots: a chunk draws its gadgets shot-major, in walk order
-    within a shot (the stream of one walk per shot), then walks the layers
-    once, replaying the frames and Clifford layers once for all its shots.
+    consecutive shots: a chunk draws its gadgets as one array of uniform
+    doubles, shot-major and in walk order within a shot (the stream of one
+    ``draw_gadget`` per shot and layer), then walks the layers once,
+    replaying the frames and Clifford layers once for all its shots.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
@@ -590,15 +666,16 @@ def effective_fidelity_batch(
     xs, zs = _columns(paulis, c.n)
     rows = len(paulis)
     if not c.is_sampled:
-        return _walk(c, xs, zs, rows, [()])[0], np.zeros(rows)
+        return _walk(c, xs, zs, rows, np.empty((1, 0)))[0], np.zeros(rows)
     if rng is None:
         raise ValueError("sampled twirl modes need an rng")
-    sampled = [layer for layer in reversed(c.layers) if isinstance(layer, RotationLayer) and layer.is_sampled]
+    sampled = [layer for layer in c.layers if isinstance(layer, RotationLayer) and layer.is_sampled]
+    width = sum(layer.gadget_width for layer in sampled)
     chunk = max(1, _CHUNK // max(rows, len(sampled)))
     samples = np.empty((shots, rows))
     for start in range(0, shots, chunk):
-        draws = [[layer.draw_gadget(rng) for layer in sampled] for _ in range(min(chunk, shots - start))]
-        samples[start : start + len(draws)] = _walk(c, xs, zs, rows, draws)
+        uniforms = rng.random((min(chunk, shots - start), width))
+        samples[start : start + len(uniforms)] = _walk(c, xs, zs, rows, uniforms)
     return _mean_stderr(samples)
 
 

@@ -615,7 +615,7 @@ def rescaled_distance_scan(
     rows = []
     for n in n_list:
         for t in t_list:
-            c = _scan_circuit(n, t, theta, p_tot, noise_weights, twirl_mode, k)
+            c = _scan_circuit(n, t, theta, p_tot, tuple(noise_weights), twirl_mode, k)
             num_layers = c.num_rotation_layers
             p_err = p_tot / num_layers
             r = optimal_rescale_coefficient(c)
@@ -649,11 +649,15 @@ def rescaled_distance_scan(
     return rows
 
 
+@lru_cache(maxsize=64)
 def _scan_circuit(
     n: int, steps: int, theta: float, p_tot: float, noise_weights: tuple, twirl_mode: str, k: int | None
 ) -> LogicalCircuit:
     """The distance scan's circuit at (n, T): the n-site Heisenberg chain's Trotter circuit
-    with every angle theta and p_tot split over its layers."""
+    with every angle theta and p_tot split over its layers.
+
+    Memoized, so the CLI's grid check and the scan build each circuit once.
+    """
     if steps < 1:
         raise ValueError("need at least one Trotter step")
     model = heisenberg_1d(n)

@@ -8,16 +8,21 @@ disturbing the gate itself.  This module provides:
 
 * ``SymmetrySpec`` — the register decomposition and Clifford frame describing Q;
 * ``twirl_channel`` / ``twirl_channel_ksparse`` — the exact averaged channel;
-* ``sample_full_twirl_gate`` / ``sample_ksparse_twirl_gate`` — cheap random
-  scrambling gadgets whose average realizes the exact channel;
+* ``decode_gadgets`` — the one sampling rule: rows of uniform doubles
+  (``gadget_width`` per draw) decoded into gadgets' spread sets,
+  local-Clifford indices and S bits, whose average realizes the exact
+  channel.  The engine applies the decoded arrays as bit masks;
+* ``sample_full_twirl_gate`` / ``sample_ksparse_twirl_gate`` — one decoded
+  row assembled as a ``TwirlGadget`` of gates, for the dense oracle and the
+  exact checks;
 * ``enumerate_sampler_distribution`` — the samplers' exact finite outcome
   distribution with rational weights, for verification;
 * ``pauli_subgroup_of_unitary`` — recover Q from a dense unitary.
 
 Gadget orientation: a gadget D is placed as D† before the rotation and D
 after it, so a noise element E occurring after the rotation is transformed
-into D E D† (``gadget.conjugate_pauli(E)``).  Gadgets and symmetry frames
-are kept as gate lists; no tableau is built for them.
+into D E D† (``gadget.conjugate_pauli(E)``).  Assembled gadgets and
+symmetry frames are kept as gate lists; no tableau is built for them.
 """
 
 from __future__ import annotations
@@ -146,6 +151,44 @@ def _assemble_gadget(n: int, targets: tuple[int, ...], local_indices: tuple[int,
     return TwirlGadget(n, tuple(gates), frozenset(support))
 
 
+def gadget_width(n: int, mode: str) -> int:
+    """Uniform doubles one gadget draw reads: n−1 spread keys, n−1 local indices and
+    the S bit, plus one for the spread size in ``ksparse``."""
+    if mode not in ("full", "ksparse"):
+        raise ValueError(f"twirl mode {mode!r} draws no gadgets")
+    return 2 * n - 1 if mode == "full" else 2 * n
+
+
+def decode_gadgets(n: int, mode: str, k: int | None, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gadgets of uniforms on [0, 1), one row of ``gadget_width`` along the last axis per draw.
+
+    Returns, with the leading axes of ``u``: the spread sets (…, n−1) bool,
+    entry t−1 for qubit t; the local-Clifford indices (…, n−1), ⌊24u⌋, read
+    only inside the spread set; and the S bits (…), u < 1/2.  In ``full``
+    each other qubit joins the spread set where its u < 3/4.  In ``ksparse``
+    the first u picks the spread size j < k with probability ∝ 3^j·C(n−1, j)
+    by inverse CDF, and the qubits of the j smallest of the next n−1 u join.
+    """
+    m = n - 1
+    if mode == "full":
+        spread = u[..., :m] < 0.75
+    elif mode == "ksparse":
+        weights = [3**j * math.comb(m, j) for j in range(k)]
+        sizes = np.searchsorted(np.cumsum(weights), u[..., 0] * sum(weights), side="right")
+        u = u[..., 1:]
+        spread = u[..., :m].argsort(axis=-1).argsort(axis=-1) < np.minimum(sizes, k - 1)[..., None]
+    else:
+        raise ValueError(f"twirl mode {mode!r} draws no gadgets")
+    return spread, (u[..., m : 2 * m] * 24).astype(np.intp), u[..., 2 * m] < 0.5
+
+
+def _draw_gadget(n: int, mode: str, k: int | None, rng: np.random.Generator) -> TwirlGadget:
+    """One gadget: one row of uniforms decoded and assembled as gates."""
+    spread, local, s_bit = decode_gadgets(n, mode, k, rng.random((1, gadget_width(n, mode))))
+    targets = tuple(int(t) + 1 for t in np.flatnonzero(spread[0]))
+    return _assemble_gadget(n, targets, tuple(int(local[0, t - 1]) for t in targets), bool(s_bit[0]))
+
+
 def sample_full_twirl_gate(n: int, rng: np.random.Generator) -> TwirlGadget:
     """One random scrambling gadget for a Z-rotation on qubit 0.
 
@@ -155,10 +198,7 @@ def sample_full_twirl_gate(n: int, rng: np.random.Generator) -> TwirlGadget:
     """
     if n < 1:
         raise ValueError("need at least one qubit")
-    targets = tuple(q for q, u in enumerate(rng.random(n - 1).tolist(), 1) if u < 0.75)
-    local_indices = tuple(int(rng.integers(24)) for _ in targets)
-    s_fired = bool(rng.random() < 0.5)
-    return _assemble_gadget(n, targets, local_indices, s_fired)
+    return _draw_gadget(n, "full", None, rng)
 
 
 def sample_ksparse_twirl_gate(n: int, k: int, rng: np.random.Generator) -> TwirlGadget:
@@ -169,20 +209,7 @@ def sample_ksparse_twirl_gate(n: int, k: int, rng: np.random.Generator) -> Twirl
     """
     if not 1 <= k <= n:
         raise ValueError("sparsity k must lie in [1, n]")
-    weights = [3**j * math.comb(n - 1, j) for j in range(k)]
-    total = sum(weights)
-    r = float(rng.random()) * total
-    j = 0
-    acc = 0.0
-    for j, wgt in enumerate(weights):
-        acc += wgt
-        if r < acc:
-            break
-    chosen = rng.choice(n - 1, size=j, replace=False) if j else np.array([], dtype=int)
-    targets = tuple(sorted(int(q) + 1 for q in chosen))
-    local_indices = tuple(int(rng.integers(24)) for _ in targets)
-    s_fired = bool(rng.random() < 0.5)
-    gadget = _assemble_gadget(n, targets, local_indices, s_fired)
+    gadget = _draw_gadget(n, "ksparse", k, rng)
     assert len(gadget.support) <= k
     return gadget
 

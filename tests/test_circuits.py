@@ -15,6 +15,7 @@ import pytest
 
 from twirlkit import circuits
 from twirlkit.channels import (
+    fidelity_batch,
     make_single_qubit_pauli_noise,
     make_white_noise,
     pauli_fidelity,
@@ -43,8 +44,9 @@ from twirlkit.circuits import (
     tfim_2d,
     whitenoise_bias_bound,
 )
-from twirlkit.paulis import PauliOp, _columns, format_pauli, parse_pauli, random_pauli, random_paulis, weight
+from twirlkit.paulis import PauliOp, _columns, _unpack, format_pauli, parse_pauli, random_pauli, random_paulis, weight
 from twirlkit.tableau import (
+    _apply_gate,
     apply_gates,
     compose,
     conjugate,
@@ -68,6 +70,52 @@ def frame_observable(layer, p):
     """The observable conjugated into the layer's rotation frame."""
     v = from_gates(layer.n, list(layer.frame_gates))
     return conjugate(v, p).unsigned()
+
+
+def replay_gadgets(c, paulis, gadgets):
+    """Reference walk: per-shot fidelities (shots, rows) with each shot's drawn gadgets
+    replayed, inverted, gate by gate on its own copy of the framed columns.
+
+    ``gadgets[s]`` holds shot s's ``TwirlGadget``s in walk order.  The engine
+    applies the same gadgets as shot-segment masks; this is the per-shot gate
+    replay it must reproduce bit for bit.
+    """
+    rows = len(paulis)
+    out = np.ones((len(gadgets), rows))
+    for lam, shot in zip(out, gadgets):
+        xs, zs = _columns(paulis, c.n)
+        drawn = iter(shot)
+        for layer in reversed(c.layers):
+            if isinstance(layer, CliffordLayer):
+                for g in reversed(layer.gates):
+                    _apply_gate(xs, zs, 0, g)
+            elif isinstance(layer, NoiseLayer):
+                lam *= fidelity_batch(layer.channel, xs, zs, rows)
+            elif not layer.is_sampled:
+                circuits._rotation_step(layer, xs, zs, rows, lam[None], None)
+            else:
+                gadget, n = next(drawn), layer.n
+                fx, fz = list(xs), list(zs)
+                for g in layer.frame_gates:
+                    _apply_gate(fx, fz, 0, g)
+                gx, gz = list(fx), list(fz)
+                for g in reversed(gadget.gates):
+                    _apply_gate(gx, gz, 0, g)
+                support = sorted(gadget.support)
+                before = _unpack([fx[q] | fz[q] for q in support], rows).sum(axis=0, dtype=np.int64)
+                after = _unpack([gx[q] | gz[q] for q in support], rows).sum(axis=0, dtype=np.int64)
+                x0, z0 = _unpack([gx[0], gz[0]], rows)
+                factor = 1 - 4 * layer.gadget_noise_rate / 3
+                lam *= factor**before
+                lam *= circuits._fidelity_table(n, layer.rates, layer.twirl_mode, layer.k)[x0 + 2 * z0]
+                lam *= factor**after
+                assert layer.rotation_kind in ("quarter", "noop")
+                anti, axis = fx[0] if layer.rotation_kind == "quarter" else 0, layer.axis
+                for q in range(n):
+                    xs[q] ^= anti if axis.x >> q & 1 else 0
+                    zs[q] ^= anti if axis.z >> q & 1 else 0
+        assert next(drawn, None) is None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +473,8 @@ class TestDeterministicWalk:
         rng = np.random.default_rng(17)
         clifford = CliffordLayer(random_clifford(9, rng))
         c = LogicalCircuit(9, (clifford, *trotter.layers, clifford))
-        applied, gadgets = [], []
-        apply_gate = circuits._apply_gate
+        applied, gadgets, decoded = [], [], []
+        apply_gate, decode = circuits._apply_gate, circuits.decode_gadgets
 
         def counted_apply(xs, zs, sign, g):
             applied.append(g)
@@ -439,17 +487,24 @@ class TestDeterministicWalk:
 
             return draw
 
+        def counted_decode(n, mode, k, u):
+            decoded.append(u.shape)
+            return decode(n, mode, k, u)
+
         monkeypatch.setattr(circuits, "_apply_gate", counted_apply)
+        monkeypatch.setattr(circuits, "decode_gadgets", counted_decode)
         for name in ("sample_full_twirl_gate", "sample_ksparse_twirl_gate"):
             monkeypatch.setattr(circuits, name, recorded(getattr(circuits, name)))
         paulis = [random_pauli(9, exclude_identity=True, rng=rng) for _ in range(10)]
         shots = 3
         effective_fidelity_batch(c, paulis, shots, rng)
         # the three shots walk as one chunk: frames and Clifford layers replay
-        # once, and each drawn gadget once
+        # once, one decoder call reads every gadget of the chunk, and no gadget
+        # is drawn as gates or replayed gate by gate
         per_pass = sum(len(layer.frame_gates) for layer in c.rotation_layers()) + 2 * len(clifford.gates)
-        assert len(gadgets) == (shots * len(trotter.layers) if sampled else 0)
-        assert len(applied) == per_pass + sum(len(g.gates) for g in gadgets)
+        assert gadgets == []
+        assert decoded == ([(shots, len(trotter.layers), trotter.layers[0].gadget_width)] if sampled else [])
+        assert len(applied) == per_pass
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +577,21 @@ class TestSampledTwirl:
         for m, e, x in zip(means, errs, exact):
             assert abs(m - x) < max(3 * e, 1e-3)
 
+    @pytest.mark.parametrize("mode,k", [("full", None), ("ksparse", 2)])
+    def test_clean_sampled_mean_within_four_errors_of_analytic(self, mode, k):
+        rng = np.random.default_rng(23)
+        noise = rz_axis_noise(0.03, 0.02, 0.01)
+        model = heisenberg_2d(2, 2)
+        sampled = build_trotter_circuit(model, 2, 0.1, clifford_sim=True, base_noise=noise, twirl_mode=mode, k=k)
+        analytic = build_trotter_circuit(
+            model, 2, 0.1, clifford_sim=True, base_noise=noise, twirl_mode="analytic_" + mode, k=k
+        )
+        obs = random_paulis(4, 30, exclude_identity=True, rng=rng)
+        means, errs = effective_fidelity_batch(sampled, obs, shots=2000, rng=rng)
+        exact, _ = effective_fidelity_batch(analytic, obs)
+        assert errs.max() > 0
+        assert (np.abs(means - exact) <= 4 * errs + 1e-12).all()
+
     def test_pure_z_noise_sampled_is_deterministic(self):
         # Z-axis errors commute with every gadget, so all draws agree.
         rng = np.random.default_rng(16)
@@ -570,6 +640,56 @@ class TestSampledTwirl:
         assert stderr.max() > 0
         assert [a.shape for a in effective_fidelity_batch(c, [], shots, one_rng)] == [(0,), (0,)]
 
+    @pytest.mark.parametrize(
+        "n, mode, k",
+        [(1, "full", None), (1, "ksparse", 1)]
+        + [(n, "full", None) for n in range(2, 7)]
+        + [(n, "ksparse", k) for n in range(2, 7) for k in sorted({1, 2, n})],
+    )
+    def test_mask_walk_equals_gate_replay(self, n, mode, k):
+        """The engine's segment masks give the per-shot gate replay's fidelities bit for bit."""
+        rng = np.random.default_rng(100 + 10 * n + (k or 0))
+        noise = NoiseLayer(make_single_qubit_pauli_noise(n, n - 1, 0.01, 0.02, 0.005))
+        for p_d in (0.0, 0.06):
+            rotations = [
+                RotationLayer(
+                    random_pauli(n, exclude_identity=True, rng=rng), angle, rz_axis_noise(0.03, 0.01, 0.02),
+                    mode, k, p_d,
+                )
+                for angle in (math.pi / 4, 0.0, math.pi / 4, 3 * math.pi / 4)
+            ]
+            clifford = CliffordLayer(random_clifford(n, rng))
+            c = LogicalCircuit(n, (rotations[0], clifford, rotations[1], noise, rotations[2], clifford, rotations[3]))
+            for rows in (0, 1, 65):
+                paulis = [random_pauli(n, exclude_identity=True, rng=rng) for _ in range(rows)]
+                seed = int(rng.integers(2**32))
+                uniforms = np.random.default_rng(seed).random((9, sum(r.gadget_width for r in rotations)))
+                got = circuits._walk(c, *_columns(paulis, n), rows, uniforms)
+                draws = np.random.default_rng(seed)
+                gadgets = [[r.draw_gadget(draws) for r in reversed(rotations)] for _ in range(9)]
+                assert np.array_equal(got, replay_gadgets(c, paulis, gadgets))
+                if rows == 65:
+                    assert len(np.unique(got, axis=0)) > 1  # the shots drew different gadgets
+
+    def test_mixed_mode_walk_equals_gate_replay(self):
+        """Layers of different twirl modes in one circuit each read their own draws."""
+        n, rng = 4, np.random.default_rng(120)
+        noise = rz_axis_noise(0.03, 0.01, 0.02)
+        modes = [("full", None, 0.05), ("none", None, 0.0), ("ksparse", 2, 0.0), ("analytic_full", None, 0.0),
+                 ("ksparse", 3, 0.05), ("full", None, 0.0)]
+        rotations = [
+            RotationLayer(random_pauli(n, exclude_identity=True, rng=rng), math.pi / 4, noise, mode, k, p_d)
+            for mode, k, p_d in modes
+        ]
+        c = LogicalCircuit(n, (*rotations[:3], CliffordLayer(random_clifford(n, rng)), *rotations[3:]))
+        paulis = [random_pauli(n, exclude_identity=True, rng=rng) for _ in range(20)]
+        sampled = [r for r in reversed(rotations) if r.is_sampled]
+        uniforms = np.random.default_rng(7).random((6, sum(r.gadget_width for r in sampled)))
+        draws = np.random.default_rng(7)
+        gadgets = [[r.draw_gadget(draws) for r in sampled] for _ in range(6)]
+        got = circuits._walk(c, *_columns(paulis, n), len(paulis), uniforms)
+        assert np.array_equal(got, replay_gadgets(c, paulis, gadgets))
+
     @pytest.mark.parametrize("mode, k", [("full", None), ("ksparse", 2)])
     def test_one_shot_is_its_own_mean_with_zero_error(self, mode, k):
         c = build_trotter_circuit(
@@ -582,7 +702,7 @@ class TestSampledTwirl:
         draws = np.random.default_rng(6)
         sampled = [layer for layer in reversed(c.layers) if isinstance(layer, RotationLayer) and layer.is_sampled]
         gadgets = [[layer.draw_gadget(draws) for layer in sampled]]
-        sample = circuits._walk(c, *_columns(paulis, c.n), len(paulis), gadgets)[0]
+        sample = replay_gadgets(c, paulis, gadgets)[0]
         assert np.array_equal(mean, sample) and len(set(sample.tolist())) > 1
         assert stderr.dtype == np.float64 and stderr.tolist() == [0.0] * len(paulis)
 

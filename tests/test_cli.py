@@ -556,13 +556,13 @@ FROZEN_BIAS_ROWS = [
     ["3", "none", "0.027887033901307257", "0.004826886944208852", "1.2256463062276284", "0.6424160744396211"],
     ["3", "analytic_full", "0.011814681928981366", "0.0022406350919070422", "1.2273015866983867", "0.16581414615695383"],
     ["3", "analytic_ksparse:2", "0.009639223530842095", "0.002923733214096916", "1.2271746536386503", "0.23877454115352714"],
-    ["3", "full", "0.015398431362160384", "0.002304630097298546", "1.2273015866983867", "0.16581414615695383"],
-    ["3", "ksparse:2", "0.01960416589480656", "0.0063678086735245824", "1.2271746536386503", "0.23877454115352714"],
+    ["3", "full", "0.024029711877448262", "0.004208628699382286", "1.2273015866983867", "0.16581414615695383"],
+    ["3", "ksparse:2", "0.01877060159517485", "0.003762187300460323", "1.2271746536386503", "0.23877454115352714"],
     ["4", "none", "0.023416229092949287", "0.007903514571929771", "1.2225559637262955", "0.6516516400224721"],
     ["4", "analytic_full", "0.00671399209491963", "0.0014715879505696483", "1.2236789376793227", "0.14908517886169131"],
     ["4", "analytic_ksparse:2", "0.009696394607915168", "0.0038793545534576515", "1.2235924068605233", "0.23069739598748437"],
-    ["4", "full", "0.016812547171087284", "0.00394310427496362", "1.2236789376793227", "0.14908517886169131"],
-    ["4", "ksparse:2", "0.014611315647209244", "0.0032680123411438513", "1.2235924068605233", "0.23069739598748437"],
+    ["4", "full", "0.01295155824512124", "0.0034821795161361735", "1.2236789376793227", "0.14908517886169131"],
+    ["4", "ksparse:2", "0.011882358807901033", "0.0030277013449082047", "1.2235924068605233", "0.23069739598748437"],
 ]
 FROZEN_GADGET = {
     "model": "heisenberg_2d",
@@ -578,11 +578,11 @@ FROZEN_GADGET = {
 }
 FROZEN_GADGET_ROWS = [
     ["4", "none", "0.0", "0.01890569063955652", "0.003743546026080379", "1.105604683486065", "0.7043283547980651"],
-    ["4", "full", "0.0", "0.00951099205031665", "0.002209765997501765", "1.1060677351136903", "0.062377330598134925"],
-    ["4", "ksparse:2", "0.0", "0.007711659076092947", "0.0026066274440111623", "1.1060280367429522", "0.2146588721030394"],
+    ["4", "full", "0.0", "0.008477917213902314", "0.0016816940229141624", "1.1060677351136903", "0.062377330598134925"],
+    ["4", "ksparse:2", "0.0", "0.008815878691160073", "0.004492590952555448", "1.1060280367429522", "0.2146588721030394"],
     ["4", "none", "0.004166666666666667", "0.02092039542568727", "0.00519113479612877", "1.105604683486065", "0.7043283547980651"],
-    ["4", "full", "0.004166666666666667", "0.2800698499866273", "0.009328489628636841", "1.1060677351136903", "0.062377330598134925"],
-    ["4", "ksparse:2", "0.004166666666666667", "0.1633156696856996", "0.011065571930219106", "1.1060280367429522", "0.2146588721030394"],
+    ["4", "full", "0.004166666666666667", "0.27114836135360726", "0.010538346039521567", "1.1060677351136903", "0.062377330598134925"],
+    ["4", "ksparse:2", "0.004166666666666667", "0.17578868223886845", "0.005260175115570423", "1.1060280367429522", "0.2146588721030394"],
 ]
 
 

@@ -19,6 +19,7 @@ Verification strategy, since the full symmetric Clifford group is huge:
 import hashlib
 import math
 from fractions import Fraction
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -38,10 +39,13 @@ from twirlkit.channels import (
     point_ensemble,
 )
 from twirlkit.paulis import PauliOp, commutes, identity, parse_pauli, random_pauli, single
-from twirlkit.tableau import apply_gates, conjugate, from_gates, gate
+from twirlkit.tableau import apply_gates, conjugate, from_gates, gate, single_qubit_clifford_words
 from twirlkit.twirl import (
     SymmetrySpec,
+    _assemble_gadget,
+    decode_gadgets,
     enumerate_sampler_distribution,
+    gadget_width,
     pauli_group_span,
     pauli_subgroup_of_unitary,
     sample_full_twirl_gate,
@@ -188,16 +192,16 @@ def test_support_bookkeeping():
 # these streams, so a change to them must show here and be declared.
 FROZEN_SAMPLER_STREAMS = [
     ("full", 1, None, "253ae4ed4bbc8d28"),
-    ("full", 2, None, "39c9996294cef8f7"),
-    ("full", 9, None, "887f4ad55ef22f57"),
-    ("full", 16, None, "278006c20d2fbff4"),
+    ("full", 2, None, "dff6406a11032f0d"),
+    ("full", 9, None, "aa92796c221d5aaa"),
+    ("full", 16, None, "7ffdde3121bafd76"),
     ("ksparse", 1, 1, "c475f707e2b63859"),
-    ("ksparse", 2, 1, "c475f707e2b63859"),
-    ("ksparse", 2, 2, "99a57bb3f56182c1"),
-    ("ksparse", 9, 1, "c475f707e2b63859"),
-    ("ksparse", 9, 2, "bc91d61376dfec42"),
-    ("ksparse", 16, 1, "c475f707e2b63859"),
-    ("ksparse", 16, 2, "6461d32aa843625f"),
+    ("ksparse", 2, 1, "b06aeebbf7761df9"),
+    ("ksparse", 2, 2, "f73eddbbe60d2b5f"),
+    ("ksparse", 9, 1, "fe50431ba38f8dd0"),
+    ("ksparse", 9, 2, "e64db06b1565e020"),
+    ("ksparse", 16, 1, "ff963d7709c68eca"),
+    ("ksparse", 16, 2, "73349fa37996960b"),
 ]
 
 
@@ -210,6 +214,103 @@ def test_sampler_streams_are_frozen(mode, n, k, digest):
         gates = " ".join(f"{g.kind}{','.join(map(str, g.qubits))}" for g in gdg.gates)
         lines.append(f"{gates}|{','.join(map(str, sorted(gdg.support)))}|{rng.random().hex()}")
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == digest
+
+
+# ---------------------------------------------------------------------------
+# the gadget decoder's distribution
+# ---------------------------------------------------------------------------
+
+
+def _intervals(points):
+    return list(zip(points, points[1:]))
+
+
+def decoder_cells(n, mode, k):
+    """(row of uniforms, exact mass) for every cell on which the decoder is constant.
+
+    Each spread, local and S coordinate is cut at the decoder's thresholds
+    (3/4, i/24, 1/2, and the ksparse size CDF), and the cell's mass is the
+    product of its interval lengths.  The ksparse keys act only through their
+    order, and each of the (n−1)! orders has mass 1/(n−1)!.
+    """
+    m = n - 1
+    axes = [_intervals([Fraction(i, 24) for i in range(25)])] * m + [_intervals([0, Fraction(1, 2), 1])]
+    if mode == "full":
+        axes = [_intervals([0, Fraction(3, 4), 1])] * m + axes
+        heads = [((), Fraction(1))]
+    else:
+        weights = [3**j * math.comb(m, j) for j in range(k)]
+        cdf = [Fraction(sum(weights[:j]), sum(weights)) for j in range(k + 1)]
+        heads = [
+            ((float((lo + hi) / 2), *((r + 0.5) / m for r in order)), (hi - lo) / math.factorial(m))
+            for lo, hi in _intervals(cdf)
+            for order in permutations(range(m))
+        ]
+    cells = []
+    for head, mass in heads:
+        for box in product(*axes):
+            row = head + tuple(float((lo + hi) / 2) for lo, hi in box)
+            cells.append((row, mass * math.prod(hi - lo for lo, hi in box)))
+    return cells
+
+
+def decoded_gadgets(n, mode, k, u):
+    spread, local, s_bit = decode_gadgets(n, mode, k, u)
+    for row_spread, row_local, s in zip(spread, local, s_bit):
+        targets = tuple(int(t) + 1 for t in np.flatnonzero(row_spread))
+        yield targets, tuple(int(row_local[t - 1]) for t in targets), bool(s)
+
+
+@pytest.mark.parametrize(
+    "n, mode, k",
+    [(1, "full", None), (2, "full", None), (3, "full", None)]
+    + [(n, "ksparse", k) for n in (1, 2, 3) for k in range(1, n + 1)],
+)
+def test_decoder_masses_equal_the_enumeration(n, mode, k):
+    cells = decoder_cells(n, mode, k)
+    u = np.array([row for row, _ in cells]).reshape(len(cells), gadget_width(n, mode))
+    got = {}
+    for (_, mass), draw in zip(cells, decoded_gadgets(n, mode, k, u)):
+        gadget = _assemble_gadget(n, *draw)
+        got[gadget] = got.get(gadget, 0) + mass
+    want = {}
+    for weight, gadget in enumerate_sampler_distribution(n, mode, k):
+        want[gadget] = want.get(gadget, 0) + weight
+    assert got == want
+
+
+def test_decoder_rejects_modes_without_gadgets():
+    for mode in ("none", "analytic_full", "analytic_ksparse"):
+        with pytest.raises(ValueError):
+            gadget_width(3, mode)
+        with pytest.raises(ValueError):
+            decode_gadgets(3, mode, 2, np.zeros((1, 6)))
+
+
+def _gadget_class(gadget):
+    """Spread set, S bit and the local words on the first two spread qubits."""
+    fan = [g for g in gadget.gates if g.kind == "MULTICNOT"]
+    targets = fan[0].qubits[1:] if fan else ()
+    words = tuple(tuple(g.kind for g in gadget.gates if g.qubits == (t,)) for t in targets[:2])
+    return targets, gate("S", 0) in gadget.gates, words
+
+
+@pytest.mark.parametrize("mode, k", [("full", None), ("ksparse", 2)])
+def test_decoder_frequencies_match_the_enumeration_at_four_qubits(mode, k):
+    n, draws = 4, 120_000
+    want = {}
+    for weight, gadget in enumerate_sampler_distribution(n, mode, k):
+        key = _gadget_class(gadget)
+        want[key] = want.get(key, 0) + weight
+    words = single_qubit_clifford_words()
+    counts = dict.fromkeys(want, 0)
+    u = np.random.default_rng(57).random((draws, gadget_width(n, mode)))
+    for targets, local, s in decoded_gadgets(n, mode, k, u):
+        counts[targets, s, tuple(words[i] for i in local[:2])] += 1
+    assert min(want.values()) * draws > 10  # every class is well populated
+    chi2 = sum((counts[key] - float(p) * draws) ** 2 / (float(p) * draws) for key, p in want.items())
+    dof = len(want) - 1
+    assert chi2 < dof + 5 * math.sqrt(2 * dof)
 
 
 # ---------------------------------------------------------------------------
