@@ -11,14 +11,14 @@ cost polynomial in the qubit count for Clifford-angle circuits.  Every
 fidelity is evaluated in batch by ``channels.fidelity_batch`` on the layer's
 channel: directly for a noise layer, and for a rotation layer once per
 (qubit count, rates, mode, k) into a table indexed by the frame-qubit letter
-and the weight on the other qubits.
+and the weight on the other qubits, cut to the columns whose values differ.
 
 A rotation layer costs only its walk: the set-up is shared between layers.
-Its frame gates are built, and checked on a tableau, once per axis; its rates
-are read once per noise channel; the rescale coefficient evaluates s/u once
-per distinct channel.  The frame, rate, channel and table memos are
-module-level ``lru_cache``s, so ``cache_clear`` empties them with the
-package's other memos.
+Its frame gates are built once per axis and checked on a tableau of the
+qubits they touch; its rates and flags are set when it is constructed; the
+rescale coefficient evaluates s/u once per distinct channel.  The frame,
+rate, channel and table memos are module-level ``lru_cache``s, so
+``cache_clear`` empties them with the package's other memos.
 
 The walk replays a rotation layer's gates once, forward only.  A copy of the
 rows goes through the frame V and, in the sampled modes, each shot's drawn
@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -193,6 +193,15 @@ class RotationLayer:
         gadget_noise_rate: Local depolarizing rate applied per supported
             qubit after each of the two scrambling-gadget placements
             (sampled modes only).
+
+    Set at construction (attributes, not fields): ``rates`` (px, py, pz) of
+    ``base_noise``; ``is_sampled``, whether the layer draws a gadget per shot
+    (``full``, ``ksparse``); ``gadget_width``, the uniform doubles a draw
+    reads (0 without draws); and ``rotation_kind``, how conjugation by the
+    rotation acts on Paulis: ``noop`` — a Pauli up to phase (angle ≡ 0 mod
+    π/2), ``quarter`` — an S-type Clifford (angle ≡ π/4 mod π/2) swapping X
+    and Y on the frame qubit, or ``generic`` — non-Clifford, so the layer
+    only supports observables that commute with the axis.
     """
 
     axis: PauliOp
@@ -208,7 +217,14 @@ class RotationLayer:
         if self.axis.x == 0 and self.axis.z == 0:
             raise ValueError("rotation axis must be nonidentity")
         _check_twirl_mode(self.twirl_mode, self.k, self.axis.n, self.gadget_noise_rate)
-        _point_rates(self.base_noise)  # validates shape
+        sampled, t = _draws_gadgets(self.twirl_mode), self.angle % (math.pi / 2)
+        quarter = abs(t - math.pi / 4) < _ANGLE_TOL
+        self.__dict__.update(  # frozen: write the instance dict, as cached_property does
+            rates=_point_rates(self.base_noise),  # validates shape
+            is_sampled=sampled,
+            gadget_width=gadget_width(self.n, self.twirl_mode) if sampled else 0,
+            rotation_kind="noop" if min(t, math.pi / 2 - t) < _ANGLE_TOL else "quarter" if quarter else "generic",
+        )
 
     @property
     def n(self) -> int:
@@ -219,23 +235,9 @@ class RotationLayer:
         """Gate list for the frame V with V·axis·V† = Z on qubit 0."""
         return _frame_gates(self.axis)
 
-    @cached_property
-    def rates(self) -> tuple[float, float, float]:
-        return _point_rates(self.base_noise)
-
     @property
     def p_err(self) -> float:
         return sum(self.rates)
-
-    @cached_property
-    def is_sampled(self) -> bool:
-        """Whether the layer draws a scrambling gadget per shot (``full``, ``ksparse``)."""
-        return _draws_gadgets(self.twirl_mode)
-
-    @cached_property
-    def gadget_width(self) -> int:
-        """Uniform doubles one gadget draw reads; 0 when the layer draws none."""
-        return gadget_width(self.n, self.twirl_mode) if self.is_sampled else 0
 
     def draw_gadget(self, rng: np.random.Generator) -> TwirlGadget:
         """One scrambling gadget from the sampler of the layer's twirl mode."""
@@ -244,22 +246,6 @@ class RotationLayer:
         if self.twirl_mode == "ksparse":
             return sample_ksparse_twirl_gate(self.n, self.k, rng)
         raise ValueError(f"twirl mode {self.twirl_mode!r} draws no gadgets")
-
-    @cached_property
-    def rotation_kind(self) -> str:
-        """How conjugation by the rotation acts on Paulis.
-
-        ``noop`` — the rotation is a Pauli up to phase (angle ≡ 0 mod π/2),
-        ``quarter`` — an S-type Clifford (angle ≡ π/4 mod π/2), swapping
-        X and Y on the frame qubit, or ``generic`` — non-Clifford; such a
-        layer only supports observables that commute with the axis.
-        """
-        t = self.angle % (math.pi / 2)
-        if min(t, math.pi / 2 - t) < _ANGLE_TOL:
-            return "noop"
-        if abs(t - math.pi / 4) < _ANGLE_TOL:
-            return "quarter"
-        return "generic"
 
 
 @dataclass(frozen=True)
@@ -554,11 +540,14 @@ def _rotation_step(
     table = _fidelity_table(n, layer.rates, layer.twirl_mode, layer.k)
 
     if gadgets is None:
-        x0, z0 = _unpack([fx[0], fz[0]], rows)
-        if table.ndim == 1:
-            lam *= table[x0 + 2 * z0]
-        else:
+        columns, rest = table.size // 4, 0  # 1: bare noise; 2: the full twirl, weight 0 or not; n: every weight
+        for t in range(1, n if columns == 2 else 1):
+            rest |= fx[t] | fz[t]
+        x0, z0, acted = _unpack([fx[0], fz[0], rest], rows)
+        if columns > 2:
             lam *= table[x0 + 2 * z0, _weight(fx, fz, range(1, n), rows)]
+        else:  # flat index: letter alone, or 2·letter + acted
+            lam *= table.take((x0 + 2 * z0) * columns + acted)
     else:  # sampled tables are bare noise: one letter column
         shots, p_d = len(lam), layer.gadget_noise_rate
         masks = _segments(gadgets, rows)
@@ -711,7 +700,10 @@ def _fidelity_table(n: int, rates: tuple[float, float, float], mode: str, k: int
     """A rotation layer's fidelity in its frame, by letter x0 + 2·z0 and weight on qubits 1..n−1.
 
     Tables whose weight columns agree (bare noise) are cut to the letter
-    column.  Sampled modes draw their gadgets in the walk: bare noise too.
+    column, and those whose columns 1..n−1 agree (the full twirl) to two
+    columns, read by whether a row acts on qubits 1..n−1; the k-sparse ones
+    keep every weight.  The cuts compare the doubles, so no value changes.
+    Sampled modes draw their gadgets in the walk: bare noise too.
     """
     if _draws_gadgets(mode):
         mode, k = "none", None
@@ -720,6 +712,8 @@ def _fidelity_table(n: int, rates: tuple[float, float, float], mode: str, k: int
     table = fidelity_batch(_frame_channel(n, rates, mode, k), *_columns(probes, n), len(probes)).reshape(4, n)
     if (table == table[:, :1]).all():
         table = table[:, 0].copy()
+    elif (table[:, 1:] == table[:, 1:2]).all():
+        table = table[:, :2].copy()
     table.flags.writeable = False
     return table
 

@@ -555,10 +555,12 @@ def simulate_pair(
     if input_state.n != c.n:
         raise ValueError("input state dimension mismatch")
     _check_cap(c.n)
-    u = circuit_unitary(c)
-    ideal = u @ input_state.entries @ u.conj().T
-    noisy = _noisy_mean(c, input_state.entries, shots, rng)
-    return DensityMatrix(c.n, ideal), DensityMatrix(c.n, noisy)
+    return _simulate_pair(c, circuit_unitary(c), input_state, shots, rng)
+
+
+def _simulate_pair(c: LogicalCircuit, u: np.ndarray, rho: DensityMatrix, shots: int, rng: np.random.Generator | None):
+    """``simulate_pair`` given the circuit's unitary u, which a scan builds once per circuit."""
+    return DensityMatrix(c.n, u @ rho.entries @ u.conj().T), DensityMatrix(c.n, _noisy_mean(c, rho.entries, shots, rng))
 
 
 def effective_fidelity_dense(
@@ -619,12 +621,13 @@ def rescaled_distance_scan(
             num_layers = c.num_rotation_layers
             p_err = p_tot / num_layers
             r = optimal_rescale_coefficient(c)
+            u = circuit_unitary(c)
             dim = 2**c.n
             tds = np.empty(num_inputs)
             tvs = np.empty(num_inputs)
             for i in range(num_inputs):
                 rho0 = DensityMatrix.haar_random_pure(c.n, rng)
-                ideal, noisy = simulate_pair(c, rho0, rng=rng)
+                ideal, noisy = _simulate_pair(c, u, rho0, 1, rng)
                 # the rescaled combination may dip slightly below positivity,
                 # so compare raw matrices without re-validating
                 combo = r * noisy.entries + (1 - r) * np.eye(dim) / dim

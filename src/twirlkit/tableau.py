@@ -432,14 +432,15 @@ def clifford_mapping_z0_to(axis: PauliOp) -> tuple[GateSpec, ...]:
     Construction: per-support-qubit letter rotations to Z (H for X; S, H, X
     for Y, which is H·S† up to phase), a CNOT fan folding the Z string onto
     the first support qubit, then a SWAP to qubit 0.  The result is checked
-    once on a tableau.  Requires a non-identity axis with sign +1.
+    once on a tableau of the qubits the gates touch (the support and qubit
+    0), which equals the full-register check.  Requires a non-identity axis
+    with sign +1.
     """
     if axis.is_identity:
         raise ValueError("rotation axis must be a non-identity Pauli")
     if axis.phase != 0:
         raise ValueError("rotation axis must carry sign +1 (fold signs into the angle)")
-    n = axis.n
-    support = [q for q in range(n) if (axis.x | axis.z) >> q & 1]
+    support = [q for q in range(axis.n) if (axis.x | axis.z) >> q & 1]
     gates: list[GateSpec] = []
     for q in support:
         letter = axis.letter_at(q)
@@ -452,6 +453,8 @@ def clifford_mapping_z0_to(axis: PauliOp) -> tuple[GateSpec, ...]:
         gates.append(gate("CNOT", q, head))
     if head != 0:
         gates.append(gate("SWAP", head, 0))
-    check = conjugate(from_gates(n, gates), axis)
-    assert check == single(n, 0, "Z"), f"axis frame construction failed: {check}"
+    qubits = sorted({0, *support})
+    sub = [GateSpec(g.kind, tuple(map(qubits.index, g.qubits))) for g in gates]
+    check = conjugate(from_gates(len(qubits), sub), axis.restrict(tuple(qubits)))
+    assert check == single(len(qubits), 0, "Z"), f"axis frame construction failed: {check}"
     return tuple(gates)

@@ -7,7 +7,9 @@ the depolarizing-factor placements are each pinned by an oracle that shares
 no code with the engine.
 """
 
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -44,7 +46,7 @@ from twirlkit.circuits import (
     tfim_2d,
     whitenoise_bias_bound,
 )
-from twirlkit.paulis import PauliOp, _columns, _unpack, format_pauli, parse_pauli, random_pauli, random_paulis, weight
+from twirlkit.paulis import PauliOp, _columns, _unpack, _weight, format_pauli, parse_pauli, random_pauli, random_paulis, weight
 from twirlkit.tableau import (
     _apply_gate,
     apply_gates,
@@ -58,6 +60,7 @@ from twirlkit.tableau import (
 )
 from twirlkit.twirl import (
     enumerate_sampler_distribution,
+    gadget_width,
     sample_full_twirl_gate,
     sample_ksparse_twirl_gate,
     twirl_channel,
@@ -116,6 +119,39 @@ def replay_gadgets(c, paulis, gadgets):
                     zs[q] ^= anti if axis.z >> q & 1 else 0
         assert next(drawn, None) is None
     return out
+
+
+def uncut_fidelity_table(n, rates, mode, k):
+    """(4, n) frame fidelities by letter x0 + 2·z0 and weight on qubits 1..n−1, every column kept."""
+    probes = [PauliOp(n, (letter & 1) | ((1 << w) - 1) << 1, letter >> 1) for letter in range(4) for w in range(n)]
+    return fidelity_batch(circuits._frame_channel(n, rates, mode, k), *_columns(probes, n), len(probes)).reshape(4, n)
+
+
+def walk_by_weight(c, paulis):
+    """Reference deterministic walk: each rotation layer's fidelity is read
+    from its uncut table by the weight on qubits 1..n−1."""
+    rows = len(paulis)
+    xs, zs = _columns(paulis, c.n)
+    lam = np.ones(rows)
+    for layer in reversed(c.layers):
+        if isinstance(layer, CliffordLayer):
+            for g in reversed(layer.gates):
+                _apply_gate(xs, zs, 0, g)
+        elif isinstance(layer, NoiseLayer):
+            lam *= fidelity_batch(layer.channel, xs, zs, rows)
+        else:
+            n, axis = layer.n, layer.axis
+            fx, fz = list(xs), list(zs)
+            for g in layer.frame_gates:
+                _apply_gate(fx, fz, 0, g)
+            x0, z0 = _unpack([fx[0], fz[0]], rows)
+            table = uncut_fidelity_table(n, layer.rates, layer.twirl_mode, layer.k)
+            lam *= table[x0 + 2 * z0, _weight(fx, fz, range(1, n), rows)]
+            anti = fx[0] if layer.rotation_kind == "quarter" else 0
+            for q in range(n):
+                xs[q] ^= anti if axis.x >> q & 1 else 0
+                zs[q] ^= anti if axis.z >> q & 1 else 0
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +286,27 @@ class TestLayerValidation:
         assert mk(3 * math.pi / 4) == "quarter"
         assert mk(-math.pi / 4) == "quarter"
         assert mk(0.3) == "generic"
+
+    def test_attributes_set_at_construction(self):
+        layer = RotationLayer(parse_pauli("XZY"), math.pi / 4, rz_axis_noise(0.02, 0.01, 0.0), "analytic_full")
+        names = ("rates", "is_sampled", "gadget_width", "rotation_kind")
+        assert {name: vars(layer)[name] for name in names} == {
+            "rates": (0.02, 0.01, 0.0), "is_sampled": False, "gadget_width": 0, "rotation_kind": "quarter"
+        }
+        assert dataclasses.replace(layer, angle=0.0).rotation_kind == "noop"
+        assert dataclasses.replace(layer, angle=0.3).rotation_kind == "generic"
+        assert dataclasses.replace(layer, base_noise=rz_axis_noise(0.1, 0, 0)).rates == (0.1, 0.0, 0.0)
+        sampled = dataclasses.replace(layer, twirl_mode="full")
+        assert sampled.is_sampled and sampled.gadget_width == gadget_width(3, "full") > 0
+        assert sampled.rotation_kind == "quarter" and sampled.rates == layer.rates
+        # the attributes are not fields: equal layers compare and hash equal
+        twin = RotationLayer(parse_pauli("XZY"), math.pi / 4, rz_axis_noise(0.02, 0.01, 0.0), "analytic_full")
+        assert twin == layer and hash(twin) == hash(layer) and twin != sampled
+        assert len({layer, twin, sampled}) == 2
+        for original in (layer, sampled):
+            copy = pickle.loads(pickle.dumps(original))
+            assert copy == original and hash(copy) == hash(original)
+            assert [getattr(copy, name) for name in names] == [getattr(original, name) for name in names]
 
     def test_circuit_dimension_check(self):
         with pytest.raises(ValueError):
@@ -430,6 +487,39 @@ class TestDeterministicWalk:
             effective_fidelity(c, parse_pauli("II"), rng=None)
         with pytest.raises(ValueError):
             effective_fidelity(c, parse_pauli("XXX"), rng=None)
+
+    def test_fidelity_table_cuts(self):
+        """Bare noise reads the letter alone, the full twirl two columns (acts
+        on qubits 1..n−1 or not), the k-sparse twirl every weight; each cut
+        keeps the uncut table's doubles."""
+        rates = (0.02, 0.01, 0.005)
+        cases = [(5, "none", None, 1), (5, "analytic_ksparse", 1, 1)]
+        cases += [(n, "analytic_full", None, 2) for n in (2, 5, 9)]
+        cases += [(n, "analytic_ksparse", k, n) for n in (3, 5, 9) for k in range(2, n)]
+        for n, mode, k, columns in cases:
+            table, uncut = circuits._fidelity_table(n, rates, mode, k), uncut_fidelity_table(n, rates, mode, k)
+            assert table.shape == ((4,) if columns == 1 else (4, columns))
+            read = table.reshape(4, columns)[:, np.minimum(np.arange(n), columns - 1)]
+            assert np.array_equal(read, uncut)
+        assert circuits._fidelity_table(5, rates, "full", None).shape == (4,)  # sampled: bare noise
+
+    @pytest.mark.parametrize(
+        "mode,k", [("none", None), ("analytic_full", None), ("analytic_ksparse", 2), ("analytic_ksparse", 3)]
+    )
+    def test_cut_tables_walk_as_the_uncut_tables(self, mode, k):
+        noise = rz_axis_noise(0.02, 0.01, 0.005)
+        rng = np.random.default_rng(41)
+        for model in (heisenberg_1d(2), fermi_hubbard_2d(2, 1), tfim_2d(2, 3), heisenberg_2d(3, 3)):
+            if k is not None and k > model.n_qubits:
+                continue
+            trotter = build_trotter_circuit(model, 2, 0.1, clifford_sim=True, base_noise=noise, twirl_mode=mode, k=k)
+            n = trotter.n
+            noop = RotationLayer(PauliOp(n, 0, 1 << n - 1), 0.0, noise, mode, k)
+            clifford = CliffordLayer(random_clifford(n, rng))
+            c = LogicalCircuit(n, (clifford, *trotter.layers[:5], noop, *trotter.layers[5:], clifford))
+            paulis = random_paulis(n, 70, exclude_identity=True, rng=rng)
+            got = circuits._walk(c, *_columns(paulis, n), len(paulis), np.empty((1, 0)))[0]
+            assert np.array_equal(got, walk_by_weight(c, paulis))
 
     def test_frames_built_once_per_axis(self, monkeypatch):
         # The memos are found the way a caller that clears every module-level

@@ -564,6 +564,24 @@ FROZEN_BIAS_ROWS = [
     ["4", "full", "0.01295155824512124", "0.0034821795161361735", "1.2236789376793227", "0.14908517886169131"],
     ["4", "ksparse:2", "0.011882358807901033", "0.0030277013449082047", "1.2235924068605233", "0.23069739598748437"],
 ]
+# A 4×4 grid in the deterministic modes: the frame checks and fidelity-table
+# reads at a size where most qubits lie off each axis (recorded before the
+# frame check moved onto the axis support).
+FROZEN_GRID = {
+    "model": "heisenberg_2d",
+    "sizes": [[4, 4]],
+    "steps": 2,
+    "noise": {"px": 1, "py": 0.5, "pz": 0.25},
+    "p_tot": 0.2,
+    "modes": [{"mode": "none"}, {"mode": "analytic_full"}, {"mode": "analytic_ksparse", "k": 2}],
+    "num_paulis": 40,
+    "seed": 29,
+}
+FROZEN_GRID_ROWS = [
+    ["16", "none", "0.015523689685548963", "0.001798003378234869", "1.2214267451860352", "0.6546536705301498"],
+    ["16", "analytic_full", "0.002365762134398516", "0.0002614240074285925", "1.221565622258185", "0.14285714323965035"],
+    ["16", "analytic_ksparse:2", "0.003571795313538162", "0.0004216818282720381", "1.2215629049456822", "0.16850509205758263"],
+]
 FROZEN_GADGET = {
     "model": "heisenberg_2d",
     "sizes": [[2, 2]],
@@ -588,7 +606,11 @@ FROZEN_GADGET_ROWS = [
 
 @pytest.mark.parametrize(
     "subcommand,doc,want",
-    [("bias-scan", FROZEN_BIAS, FROZEN_BIAS_ROWS), ("gadget-scan", FROZEN_GADGET, FROZEN_GADGET_ROWS)],
+    [
+        ("bias-scan", FROZEN_BIAS, FROZEN_BIAS_ROWS),
+        ("gadget-scan", FROZEN_GADGET, FROZEN_GADGET_ROWS),
+        ("bias-scan", FROZEN_GRID, FROZEN_GRID_ROWS),
+    ],
 )
 def test_scan_values_are_frozen(tmp_path, subcommand, doc, want):
     cfg = write_config(tmp_path, "c.json", doc)

@@ -14,6 +14,7 @@ import pytest
 
 import reference as ref
 from helpers import gate_to_dense, gates_to_dense, pauli_dense
+from twirlkit import dense
 from twirlkit.channels import (
     DiagonalIZFactor,
     FullGroupFactor,
@@ -743,3 +744,14 @@ class TestDistanceScan:
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
             rescaled_distance_scan([3], [0], 0.25, 0.6, 1, 2, np.random.default_rng(28))
+
+    def test_unitary_built_once_per_circuit(self, monkeypatch):
+        calls = []
+        build, pair = dense.circuit_unitary, dense._simulate_pair
+        monkeypatch.setattr(dense, "circuit_unitary", lambda c: calls.append((c.n, len(c.layers))) or build(c))
+        args = ([3], [1, 2], 0.25, 0.6, 2, 2)
+        rows = rescaled_distance_scan(*args, np.random.default_rng(30))
+        assert calls == [(3, 6), (3, 12)]  # one per (n, T), not one per input
+        # the unitary rebuilt for every input, as simulate_pair does, gives the same rows
+        monkeypatch.setattr(dense, "_simulate_pair", lambda c, u, rho, shots, rng: pair(c, build(c), rho, shots, rng))
+        assert rescaled_distance_scan(*args, np.random.default_rng(30)) == rows

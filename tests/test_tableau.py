@@ -10,6 +10,7 @@ import pytest
 
 import reference as ref
 from helpers import gates_to_dense, pauli_dense, pauli_label
+from twirlkit import tableau
 from twirlkit.paulis import PauliOp, _columns, _transpose, format_pauli, identity, parse_pauli, random_pauli, single
 from twirlkit.tableau import (
     CliffordOp,
@@ -463,13 +464,27 @@ def test_clifford_mapping_z0_frozen_cases():
 
 
 def test_clifford_mapping_z0_random_axes():
+    """The frame is checked inside on the qubits its gates touch; the reference
+    here is the full-register check, on every axis at n <= 3 and on random
+    axes up to n = 25."""
     rng = np.random.default_rng(23)
-    for n in (1, 2, 4, 6):
-        for _ in range(10):
-            axis = random_pauli(n, exclude_identity=True, rng=rng)
-            gates = clifford_mapping_z0_to(axis)
-            assert conjugate(from_gates(n, gates), axis) == single(n, 0, "Z")
-            assert apply_gates(axis, gates) == single(n, 0, "Z")
+    axes = [PauliOp(n, x, z) for n in (1, 2, 3) for x in range(2**n) for z in range(2**n) if x or z]
+    axes += [random_pauli(n, exclude_identity=True, rng=rng) for n in (1, 2, 4, 6, 16, 25) for _ in range(10)]
+    for axis in axes:
+        n = axis.n
+        gates = clifford_mapping_z0_to(axis)
+        assert conjugate(from_gates(n, gates), axis) == single(n, 0, "Z")
+        assert apply_gates(axis, gates) == single(n, 0, "Z")
+
+
+@pytest.mark.parametrize("label", ["XIII", "IIXZ", "ZIYIX", "IIIIIIIIIIIIIIIX"])
+def test_clifford_mapping_z0_check_catches_a_wrong_frame(monkeypatch, label):
+    """With every H built as an S the frame no longer maps the axis to Z on
+    qubit 0, and the check on the touched qubits raises."""
+    build = tableau.gate
+    monkeypatch.setattr(tableau, "gate", lambda kind, *qubits: build("S" if kind == "H" else kind, *qubits))
+    with pytest.raises(AssertionError, match="axis frame construction failed"):
+        clifford_mapping_z0_to(parse_pauli(label))
 
 
 def test_clifford_mapping_z0_y_letter_costs_one_s():
