@@ -2,12 +2,14 @@
 
 A channel is `identity_prob * id + sum_a prob_a * (uniform over ensemble_a)`.
 Each ensemble is a tensor product of primitive factors over disjoint qubit
-registers (point Pauli, full Pauli group, full group minus identity, the
-diagonal {I,Z}^m strings, the single-qubit {X,Y} pair, or all Paulis of
-bounded weight), optionally conjugated member-by-member through a Clifford
-frame.  Cardinalities are exact big integers and every statistical query
-(mean commutation sign, fidelities, distances, unitarity) has a closed form
-in those cardinalities, so channels stay tractable at hundreds of qubits.
+registers, optionally conjugated member-by-member through a Clifford
+frame.  A factor is a coset a·G of the group G generated by X and Z on
+chosen qubits (the point Pauli, full Pauli group, diagonal {I,Z}^m strings
+and single-qubit {X,Y} pair that twirling makes are such cosets), the full
+group minus the identity, or all Paulis of bounded weight.  Cardinalities
+are exact big integers and every statistical query (mean commutation sign,
+fidelities, distances, unitarity) has a closed form in those
+cardinalities, so channels stay tractable at hundreds of qubits.
 The same closed forms are evaluated on column batches (``fidelity_batch``:
 xs[q] and zs[q] hold one bit per row, as in ``tableau``), which is how the
 circuit engine reads every layer's Pauli fidelities.
@@ -22,10 +24,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations, product
 
 import numpy as np
 
-from .paulis import PauliOp, _unpack, _weight, commutes, identity, random_bits, random_pauli, weight
+from .paulis import PauliOp, _unpack, _weight, commutes, identity, random_bits, random_pauli, single, weight
 from .tableau import GateSpec, _apply_gate, _check_qubits, apply_gates, invert_gates
 
 _PROB_TOL = 1e-12
@@ -48,91 +51,117 @@ def _place(register: tuple[int, ...], local: PauliOp) -> tuple[int, int]:
     return x, z
 
 
-def _acts_on(rows: int, register: tuple[int, ...], *columns) -> np.ndarray:
-    """Per row, 1 where one of the column lists has a bit on a register qubit, else 0."""
-    support = 0
-    for cols in columns:
-        for q in register:
-            support |= cols[q]
-    return _unpack([support], rows)[0]
-
-
 # ---------------------------------------------------------------------------
 # primitive factors: ``mean_chi_local`` is the exact mean commutation sign on
 # the register, ``chi_batch`` the same closed form on column rows, in floats.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointFactor:
-    """A single fixed Pauli on its register."""
+def _submasks(mask: int):
+    """Every submask of ``mask``, in increasing order."""
+    sub = 0
+    while True:
+        yield sub
+        sub = (sub - mask) & mask
+        if not sub:
+            return
 
-    register: tuple[int, ...]
-    pauli: PauliOp
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "register", _check_register(self.register))
-        if self.pauli.n != len(self.register):
-            raise ValueError("point Pauli size must match register size")
-        if self.pauli.phase != 0:
-            raise ValueError("ensemble members are unsigned; point Pauli must have sign +1")
-
-    @property
-    def cardinality(self) -> int:
-        return 1
-
-    def mean_chi_local(self, q: PauliOp) -> Fraction:
-        return Fraction(1) if commutes(self.pauli, q) else Fraction(-1)
-
-    def chi_batch(self, xs, zs, rows: int) -> np.ndarray:
-        odd = 0  # the symplectic form, one bit per row
-        for i, q in enumerate(self.register):
-            if self.pauli.z >> i & 1:
-                odd ^= xs[q]
-            if self.pauli.x >> i & 1:
-                odd ^= zs[q]
-        return 1.0 - 2.0 * _unpack([odd], rows)[0]
-
-    def contains_local(self, q: PauliOp) -> bool:
-        return q == self.pauli
-
-    def sample_local(self, rng: np.random.Generator) -> PauliOp:
-        return self.pauli
-
-    def members_local(self):
-        yield self.pauli
+def _deposit(bits: int, mask: int) -> int:
+    """The low bits of ``bits`` placed, lowest first, on the set bits of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        if bits & 1:
+            out |= low
+        bits >>= 1
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
-class FullGroupFactor:
-    """All 4^m unsigned Paulis on the register."""
+class CosetFactor:
+    """The coset rep·G of unsigned Paulis on the register, where G is
+    generated by X on the local qubits of the mask ``gx`` and Z on those of ``gz``.
+
+    ``rep`` is reduced modulo G, so equal sets compare and hash equal.  A
+    point is G = {I}, the full group gx = gz = every qubit, the {I,Z}
+    strings gz = every qubit, and the {X,Y} pair rep X with gz = 1.
+    """
 
     register: tuple[int, ...]
+    rep: PauliOp
+    gx: int
+    gz: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "register", _check_register(self.register))
-
-    @property
-    def cardinality(self) -> int:
-        return 4 ** len(self.register)
-
-    def mean_chi_local(self, q: PauliOp) -> Fraction:
-        return Fraction(1) if q.is_identity else Fraction(0)
-
-    def chi_batch(self, xs, zs, rows: int) -> np.ndarray:
-        return 1.0 - _acts_on(rows, self.register, xs, zs)
-
-    def contains_local(self, q: PauliOp) -> bool:
-        return True
-
-    def sample_local(self, rng: np.random.Generator) -> PauliOp:
-        return random_pauli(len(self.register), rng=rng)
-
-    def members_local(self):
         m = len(self.register)
-        for x in range(1 << m):
-            for z in range(1 << m):
-                yield PauliOp(m, x, z)
+        if self.rep.n != m or (self.gx | self.gz) >> m:
+            raise ValueError("coset representative and generators must match the register size")
+        if self.rep.phase != 0:
+            raise ValueError("ensemble members are unsigned; the representative must have sign +1")
+        if self.rep.x & self.gx or self.rep.z & self.gz:
+            object.__setattr__(self, "rep", PauliOp(m, self.rep.x & ~self.gx, self.rep.z & ~self.gz))
+
+    @property
+    def cardinality(self) -> int:
+        return 1 << (self.gx.bit_count() + self.gz.bit_count())
+
+    def mean_chi_local(self, q: PauliOp) -> Fraction:
+        if q.z & self.gx or q.x & self.gz:
+            return Fraction(0)  # a generator anticommutes with q: the signs cancel in pairs
+        return Fraction(1) if commutes(self.rep, q) else Fraction(-1)
+
+    def chi_batch(self, xs, zs, rows: int) -> np.ndarray:
+        odd = hit = 0  # per row: the symplectic form with rep, and whether a generator anticommutes
+        for i, q in enumerate(self.register):
+            if self.rep.z >> i & 1:
+                odd ^= xs[q]
+            if self.rep.x >> i & 1:
+                odd ^= zs[q]
+            if self.gx >> i & 1:
+                hit |= zs[q]
+            if self.gz >> i & 1:
+                hit |= xs[q]
+        odd, hit = _unpack([odd & ~hit, hit], rows)
+        return 1.0 - 2.0 * odd - hit
+
+    def contains_local(self, q: PauliOp) -> bool:
+        return not ((q.x ^ self.rep.x) & ~self.gx or (q.z ^ self.rep.z) & ~self.gz)
+
+    def sample_local(self, rng: np.random.Generator) -> PauliOp:
+        x = _deposit(random_bits(self.gx.bit_count(), rng), self.gx) if self.gx else 0
+        z = _deposit(random_bits(self.gz.bit_count(), rng), self.gz) if self.gz else 0
+        return PauliOp(len(self.register), self.rep.x | x, self.rep.z | z)
+
+    def members_local(self):
+        for x in _submasks(self.gx):
+            for z in _submasks(self.gz):
+                yield PauliOp(len(self.register), self.rep.x | x, self.rep.z | z)
+
+
+def PointFactor(register: tuple[int, ...], pauli: PauliOp) -> CosetFactor:
+    """A single fixed Pauli on its register."""
+    return CosetFactor(register, pauli, 0, 0)
+
+
+def FullGroupFactor(register: tuple[int, ...]) -> CosetFactor:
+    """All 4^m unsigned Paulis on the register."""
+    full = (1 << len(register)) - 1
+    return CosetFactor(register, identity(len(register)), full, full)
+
+
+def DiagonalIZFactor(register: tuple[int, ...]) -> CosetFactor:
+    """All 2^m strings over {I, Z} on the register."""
+    return CosetFactor(register, identity(len(register)), 0, (1 << len(register)) - 1)
+
+
+def XYSetFactor(register: tuple[int, ...]) -> CosetFactor:
+    """The pair {X, Y} on a single qubit."""
+    if len(register) != 1:
+        raise ValueError("XY factor lives on exactly one qubit")
+    return CosetFactor(register, PauliOp(1, 1, 0), 0, 1)
 
 
 @dataclass(frozen=True)
@@ -155,7 +184,7 @@ class FullGroupMinusIdentityFactor:
         return Fraction(-1, self.cardinality)
 
     def chi_batch(self, xs, zs, rows: int) -> np.ndarray:
-        return np.where(_acts_on(rows, self.register, xs, zs), -1 / self.cardinality, 1.0)
+        return np.where(_weight(xs, zs, self.register, rows), -1 / self.cardinality, 1.0)
 
     def contains_local(self, q: PauliOp) -> bool:
         return not q.is_identity
@@ -169,78 +198,6 @@ class FullGroupMinusIdentityFactor:
             for z in range(1 << m):
                 if x or z:
                     yield PauliOp(m, x, z)
-
-
-@dataclass(frozen=True)
-class DiagonalIZFactor:
-    """All 2^m strings over {I, Z} on the register."""
-
-    register: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "register", _check_register(self.register))
-
-    @property
-    def cardinality(self) -> int:
-        return 2 ** len(self.register)
-
-    def mean_chi_local(self, q: PauliOp) -> Fraction:
-        # each qubit where q has an X or Y letter averages (+1 - 1)/2 = 0
-        return Fraction(1) if q.x == 0 else Fraction(0)
-
-    def chi_batch(self, xs, zs, rows: int) -> np.ndarray:
-        return 1.0 - _acts_on(rows, self.register, xs)
-
-    def contains_local(self, q: PauliOp) -> bool:
-        return q.x == 0
-
-    def sample_local(self, rng: np.random.Generator) -> PauliOp:
-        m = len(self.register)
-        return PauliOp(m, 0, random_bits(m, rng))
-
-    def members_local(self):
-        m = len(self.register)
-        for z in range(1 << m):
-            yield PauliOp(m, 0, z)
-
-
-@dataclass(frozen=True)
-class XYSetFactor:
-    """The pair {X, Y} on a single qubit."""
-
-    register: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "register", _check_register(self.register))
-        if len(self.register) != 1:
-            raise ValueError("XY factor lives on exactly one qubit")
-
-    @property
-    def cardinality(self) -> int:
-        return 2
-
-    def mean_chi_local(self, q: PauliOp) -> Fraction:
-        letter = q.letter_at(0)
-        if letter == "I":
-            return Fraction(1)
-        if letter == "Z":
-            return Fraction(-1)
-        return Fraction(0)  # X or Y: one partner commutes, the other does not
-
-    def chi_batch(self, xs, zs, rows: int) -> np.ndarray:
-        q = self.register[0]
-        x, z = _unpack([xs[q], zs[q]], rows)
-        return (1.0 - x) * (1.0 - 2.0 * z)
-
-    def contains_local(self, q: PauliOp) -> bool:
-        return q.letter_at(0) in ("X", "Y")
-
-    def sample_local(self, rng: np.random.Generator) -> PauliOp:
-        return PauliOp(1, 1, int(rng.integers(2)))
-
-    def members_local(self):
-        yield PauliOp(1, 1, 0)
-        yield PauliOp(1, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -308,8 +265,6 @@ class WeightAtMostFactor:
         return PauliOp(m, x, z)
 
     def members_local(self):
-        from itertools import combinations, product
-
         m = len(self.register)
         for j in range(self.max_weight + 1):
             for support in combinations(range(m), j):
@@ -323,14 +278,7 @@ class WeightAtMostFactor:
                     yield PauliOp(m, x, z)
 
 
-Factor = (
-    PointFactor
-    | FullGroupFactor
-    | FullGroupMinusIdentityFactor
-    | DiagonalIZFactor
-    | XYSetFactor
-    | WeightAtMostFactor
-)
+Factor = CosetFactor | FullGroupMinusIdentityFactor | WeightAtMostFactor
 
 
 def _random_below(bound: int, rng: np.random.Generator) -> int:
@@ -427,10 +375,8 @@ class PauliEnsemble:
 
     def members(self):
         """Iterate all members; only sensible for small cardinalities."""
-        from itertools import product as iproduct
-
         locals_per_factor = [list(f.members_local()) for f in self.factors]
-        for choice in iproduct(*locals_per_factor):
+        for choice in product(*locals_per_factor):
             x = z = 0
             for f, local in zip(self.factors, choice):
                 dx, dz = _place(f.register, local)
@@ -494,8 +440,6 @@ def make_single_qubit_pauli_noise(n: int, target_qubit: int, px: float, py: floa
         raise ValueError("rates must be nonnegative and sum to at most 1")
     if not 0 <= target_qubit < n:
         raise ValueError("target qubit out of range")
-    from .paulis import single
-
     atoms = []
     for letter, rate in (("X", px), ("Y", py), ("Z", pz)):
         if rate > 0:
@@ -556,19 +500,22 @@ def _registers_aligned(a: PauliEnsemble, b: PauliEnsemble) -> bool:
 
 
 def _factor_intersection_empty(fa: Factor, fb: Factor) -> bool:
-    """Whether two same-register factors share no member (exact, closed form)."""
-    if isinstance(fa, PointFactor):
-        return not fb.contains_local(fa.pauli)
-    if isinstance(fb, PointFactor):
-        return not fa.contains_local(fb.pauli)
-    pairs = {type(fa), type(fb)}
-    if pairs == {DiagonalIZFactor, XYSetFactor}:
-        return True
-    if pairs == {FullGroupMinusIdentityFactor, WeightAtMostFactor}:
-        wam = fa if isinstance(fa, WeightAtMostFactor) else fb
-        return wam.cardinality == 1  # only the identity has weight ≤ 0
-    # every other non-point combination shares at least one member
-    return False
+    """Whether two same-register factors share no member (exact, closed form).
+
+    Cosets meet iff their representatives differ only inside G_a·G_b; a
+    coset's lightest member is its reduced representative.  Of the other
+    pairs only the identity-only cap misses the full group minus the identity.
+    """
+    if not isinstance(fa, CosetFactor):
+        fa, fb = fb, fa
+    if isinstance(fa, CosetFactor):
+        if isinstance(fb, CosetFactor):
+            return bool((fa.rep.x ^ fb.rep.x) & ~(fa.gx | fb.gx) or (fa.rep.z ^ fb.rep.z) & ~(fa.gz | fb.gz))
+        if isinstance(fb, WeightAtMostFactor):
+            return weight(fa.rep) > fb.max_weight
+        return fa.cardinality == 1 and fa.rep.is_identity  # fb: the full group minus the identity
+    caps = [f for f in (fa, fb) if isinstance(f, WeightAtMostFactor)]
+    return len(caps) == 1 and caps[0].max_weight == 0
 
 
 def _ensembles_disjoint(a: PauliEnsemble, b: PauliEnsemble) -> bool | None:

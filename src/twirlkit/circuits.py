@@ -332,10 +332,6 @@ class HamiltonianModel:
         if not self.trotter_terms:
             raise ValueError(f"the model on {self.n_qubits} qubits has no Trotter terms")
 
-    def terms(self) -> tuple[tuple[PauliOp, float], ...]:
-        """(axis, coupling) pairs in the canonical per-step order."""
-        return self.trotter_terms
-
 
 def heisenberg_2d(lx: int, ly: int, j: float = 1.0) -> HamiltonianModel:
     """Nearest-neighbour XX+YY+ZZ exchange on an open Lx×Ly grid.
@@ -442,10 +438,9 @@ def build_trotter_circuit(
     if steps < 1:
         raise ValueError("need at least one Trotter step")
     noise = base_noise if base_noise is not None else rz_axis_noise(0.0, 0.0, 0.0)
-    terms = model.terms()
     layers = []
     for _ in range(steps):
-        for axis, coupling in terms:
+        for axis, coupling in model.trotter_terms:
             angle = math.pi / 4 if clifford_sim else coupling * dt
             layers.append(
                 RotationLayer(axis, angle, noise, twirl_mode, k, gadget_noise_rate)
@@ -584,12 +579,15 @@ def _rotation_step(
     kind = layer.rotation_kind
     anti = fx[0]
     if kind == "quarter" and anti:
-        axis = layer.axis
-        for q in range((axis.x | axis.z).bit_length()):
-            if axis.x >> q & 1:
+        axis, support = layer.axis, layer.axis.x | layer.axis.z
+        while support:  # the axis's qubits, lowest first
+            low = support & -support
+            q = low.bit_length() - 1
+            if axis.x & low:
                 xs[q] ^= anti
-            if axis.z >> q & 1:
+            if axis.z & low:
                 zs[q] ^= anti
+            support ^= low
     elif kind == "generic" and anti:
         raise ValueError(
             "non-Clifford rotation angle: deterministic propagation only supports "

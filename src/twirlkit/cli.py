@@ -215,7 +215,7 @@ def _bias_grid_scan(config: dict, seed: int, threads: int, grid: list) -> list[l
         for size, mode_cfg, ratio in grid:
             model = _build_model(config["model"], size)
             mode, k = mode_cfg["mode"], mode_cfg.get("k")
-            rates = _resolve_rates(weights, config.get("p_tot"), steps * len(model.terms()))
+            rates = _resolve_rates(weights, config.get("p_tot"), steps * len(model.trotter_terms))
             sweep_gadget = config.get("gadget_noise_rate", 0.0) if ratio is None else ratio * sum(rates)
             # only sampled modes insert gadgets, so only they can suffer gadget noise
             gadget = sweep_gadget if _draws_gadgets(mode) else 0.0

@@ -9,12 +9,13 @@ draws gadgets; the layers decide whether they sample and draw their own
 gadgets.  In its frame a rotation layer is exp(iθZ₀), applied as one
 elementwise phase.  Clifford unitaries are built one gate at a time as row operations on the
 running matrix, never as full matrix products.  Pauli channels act through
-one single-qubit block rule, ``_pauli_mix_qubit``: dephasing and the XY pair
-apply one fixed mix per qubit, points conjugate one letter at a time, and
-weight-capped member sums run one recursion over the register's qubits.  A
-full register group is one partial trace with the maximally mixed state put
-back.  Equal ensembles of a channel are applied once, so twirled channels
-stay tractable up to the dense cap without expanding every error.
+one single-qubit block rule, ``_pauli_mix_qubit``: a coset factor (a point,
+the {I,Z} strings, the XY pair) mixes uniformly over its one or two letters
+on each qubit where its group is not full, and weight-capped member sums run
+one recursion over the register's qubits.  The qubits where a coset's group
+is full take one partial trace with the maximally mixed state put back.
+Equal ensembles of a channel are applied once, so twirled channels stay
+tractable up to the dense cap without expanding every error.
 
 The cap defaults to 10 qubits and can be overridden with the
 ``TWIRLKIT_DENSE_CAP`` environment variable.
@@ -31,14 +32,11 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import (
-    DiagonalIZFactor,
-    FullGroupFactor,
+    CosetFactor,
     FullGroupMinusIdentityFactor,
     PauliChannel,
     PauliEnsemble,
-    PointFactor,
     WeightAtMostFactor,
-    XYSetFactor,
     _merged_atoms,
 )
 from .circuits import (
@@ -190,22 +188,8 @@ def _pauli_mix_qubit(mat: np.ndarray, n: int, q: int, probs: tuple[float, float,
     return (keep * v + swap * v[:, ::-1, :, :, ::-1, :]).reshape(mat.shape)
 
 
-_LETTER_MIX = {"X": (0, 1, 0, 0), "Y": (0, 0, 1, 0), "Z": (0, 0, 0, 1)}
 _FLIP_MIX = (0, 1, 1, 1)  # Σ σ·mat·σ over the three non-identity letters
-# the per-qubit mix whose product over a register averages the factor's members
-_REGISTER_MIX = {
-    DiagonalIZFactor: (0.5, 0, 0, 0.5),
-    XYSetFactor: (0, 0.5, 0.5, 0),
-}
-
-
-def _conj_by_pauli(mat: np.ndarray, n: int, register: tuple[int, ...], local: PauliOp) -> np.ndarray:
-    """P·mat·P for an unsigned Pauli on the register, one letter at a time."""
-    for i, q in enumerate(register):
-        letter = local.letter_at(i)
-        if letter != "I":
-            mat = _pauli_mix_qubit(mat, n, q, _LETTER_MIX[letter])
-    return mat
+_MIX_SLOT = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}  # (x, z) letter bits → index in (p_I, p_X, p_Y, p_Z)
 
 
 def _mix_qubits(mat: np.ndarray, n: int, qubits, probs) -> np.ndarray:
@@ -230,6 +214,30 @@ def _depolarize_register(mat: np.ndarray, n: int, register: tuple[int, ...]) -> 
     eye = np.eye(2**m).reshape((2,) * 2 * m) / 2**m
     eye_axes = "".join(rows[q] for q in register) + "".join(cols[q] for q in register)
     return np.einsum(f"{kept},{eye_axes}->{rows}{cols}", reduced, eye).reshape(mat.shape)
+
+
+def _coset_average(mat: np.ndarray, n: int, factor: CosetFactor) -> np.ndarray:
+    """Mean of P·mat·P over the coset's members.
+
+    On each qubit the members carry the representative's letter, also times
+    X where ``gx`` has the qubit or times Z where ``gz`` has it.  Where the
+    group is not full, one block mix averages those one or two letters (a
+    lone I is skipped); the qubits where it is full take one partial trace.
+    """
+    full = []
+    for i, q in enumerate(factor.register):
+        gx, gz = factor.gx >> i & 1, factor.gz >> i & 1
+        if gx and gz:
+            full.append(q)
+            continue
+        x, z = factor.rep.x >> i & 1, factor.rep.z >> i & 1
+        letters = {(x, z), (x | gx, z | gz)}  # rep is reduced: x = 0 where gx, z = 0 where gz
+        if letters != {(0, 0)}:
+            probs = [0, 0, 0, 0]
+            for letter in letters:
+                probs[_MIX_SLOT[letter]] = 1 / len(letters)
+            mat = _pauli_mix_qubit(mat, n, q, tuple(probs))
+    return _depolarize_register(mat, n, tuple(full)) if full else mat
 
 
 def _weight_capped_sum(mat: np.ndarray, n: int, register: tuple[int, ...], w: int) -> np.ndarray:
@@ -412,12 +420,8 @@ def _apply_ensemble_average(mat: np.ndarray, ensemble: PauliEnsemble) -> np.ndar
         return u @ _apply_ensemble_average(u.conj().T @ mat @ u, inner) @ u.conj().T
     out = mat
     for factor in ensemble.factors:
-        if isinstance(factor, PointFactor):
-            out = _conj_by_pauli(out, n, factor.register, factor.pauli)
-        elif type(factor) in _REGISTER_MIX:
-            out = _mix_qubits(out, n, factor.register, _REGISTER_MIX[type(factor)])
-        elif isinstance(factor, FullGroupFactor):
-            out = _depolarize_register(out, n, factor.register)
+        if isinstance(factor, CosetFactor):
+            out = _coset_average(out, n, factor)
         elif isinstance(factor, FullGroupMinusIdentityFactor):
             m = len(factor.register)
             dep = _depolarize_register(out, n, factor.register)
@@ -664,7 +668,7 @@ def _scan_circuit(
     if steps < 1:
         raise ValueError("need at least one Trotter step")
     model = heisenberg_1d(n)
-    rates = _resolve_rates(noise_weights, p_tot, steps * len(model.terms()))
+    rates = _resolve_rates(noise_weights, p_tot, steps * len(model.trotter_terms))
     return build_trotter_circuit(model, steps, theta, base_noise=rz_axis_noise(*rates), twirl_mode=twirl_mode, k=k)
 
 

@@ -1,11 +1,13 @@
 """Structured Pauli channels: closed forms vs enumeration, frozen examples."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from twirlkit.channels import (
+    CosetFactor,
     DiagonalIZFactor,
     FullGroupFactor,
     FullGroupMinusIdentityFactor,
@@ -15,6 +17,7 @@ from twirlkit.channels import (
     WeightAtMostFactor,
     XYSetFactor,
     _disjoint_pieces,
+    _factor_intersection_empty,
     _merged_atoms,
     avg_noise_strength,
     diamond_distance_normalized,
@@ -164,6 +167,7 @@ def test_mean_chi_factorizes_and_matches_enumeration():
         lambda reg: FullGroupMinusIdentityFactor(reg),
         lambda reg: DiagonalIZFactor(reg),
         lambda reg: WeightAtMostFactor(reg, int(rng.integers(len(reg) + 1))),
+        lambda reg: CosetFactor(reg, random_pauli(len(reg), rng=rng), *map(int, rng.integers(1 << len(reg), size=2))),
     ]
     for _ in range(25):
         n = 4
@@ -193,6 +197,42 @@ def test_frame_members_are_conjugated():
     assert set(framed.members()) == want
     for m in want:
         assert framed.contains(m)
+
+
+def _all_cosets(m):
+    """Every coset on m qubits once: all representatives and generator masks, merged by the reduction."""
+    reg = tuple(range(m))
+    return {CosetFactor(reg, PauliOp(m, x, z), gx, gz) for x, z, gx, gz in itertools.product(range(1 << m), repeat=4)}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_coset_closed_forms_match_enumeration(m):
+    cosets = _all_cosets(m)
+    assert len(cosets) == 9**m  # per qubit: 4 points, 2 + 2 cosets of {I,X} and of {I,Z}, the full group
+    everything = [PauliOp(m, x, z) for x in range(1 << m) for z in range(1 << m)]
+    xs, zs = _columns(everything, m)
+    rng = np.random.default_rng(m)
+    for f in cosets:
+        members = set(f.members_local())
+        assert len(members) == f.cardinality
+        assert f.sample_local(rng) in members
+        chi = [sum(1 if commutes(e, q) else -1 for e in members) / len(members) for q in everything]
+        assert [float(f.mean_chi_local(q)) for q in everything] == chi
+        assert list(f.chi_batch(xs, zs, len(everything))) == chi
+        assert [f.contains_local(q) for q in everything] == [q in members for q in everything]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_factor_intersection_matches_enumeration(m):
+    """Every pair of cosets, and each against every weight cap and the full group minus the identity."""
+    reg = tuple(range(m))
+    factors = [*_all_cosets(m), *(WeightAtMostFactor(reg, w) for w in range(m + 1)), FullGroupMinusIdentityFactor(reg)]
+    members = [set(f.members_local()) for f in factors]
+    for fa, ma in zip(factors, members):
+        for fb, mb in zip(factors, members):
+            assert _factor_intersection_empty(fa, fb) == (not ma & mb), (fa, fb)
+    # the {X,Y} pair misses the identity-only cap
+    assert _factor_intersection_empty(XYSetFactor((0,)), WeightAtMostFactor((0,), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +304,13 @@ def _point_noise(n, rng):
     return PauliChannel(n, tuple(atoms))
 
 
+# {Z,Y}⊗{X,Y}⊗{I,X}, and full ⊗ {I,X} ⊗ Y: cosets that no named constructor makes
+_MIXED_COSETS = (
+    CosetFactor((0, 1, 2), parse_pauli("ZXI"), 0b101, 0b010),
+    CosetFactor((0, 1, 2), parse_pauli("IIY"), 0b011, 0b001),
+)
+
+
 def _batch_channels(n):
     rng = np.random.default_rng(n)
     rest = tuple(range(1, n))
@@ -271,6 +318,10 @@ def _batch_channels(n):
     xy_rest = PauliEnsemble(n, (XYSetFactor((0,)), FullGroupFactor(rest)))
     diagonal = PauliEnsemble(n, (DiagonalIZFactor((0, 1)), FullGroupMinusIdentityFactor(tuple(range(2, n)))))
     point_and_capped = PauliEnsemble(n, (PointFactor((0, 1), parse_pauli("XY")), WeightAtMostFactor(tuple(range(2, n)), 2)))
+    tail, m = tuple(range(3, n)), n - 3
+    tail_gx = sum(1 << i for i in range(1, m, 2))  # {I,X} on odd tail qubits, {X,Y} on the last,
+    tail_gz = sum(1 << i for i in range(0, m, 3))  # {I,Z} on multiples of 3, the full group on both
+    frame = (gate("H", 1), gate("CNOT", 0, n - 1), gate("S", 2))
     return {
         "point": make_single_qubit_pauli_noise(n, n - 1, 0.01, 0.02, 0.03),
         "point_strings": _point_noise(n, rng),
@@ -279,6 +330,10 @@ def _batch_channels(n):
         "diagonal": PauliChannel(n, ((0.03, diagonal),)),
         "weight_at_most": twirl_channel_ksparse(make_single_qubit_pauli_noise(n, 0, 0.01, 0.02, 0.005), 3),
         "point_and_capped": PauliChannel(n, ((0.02, point_and_capped),)),
+        "cosets": PauliChannel(n, (
+            (0.03, PauliEnsemble(n, (_MIXED_COSETS[0], CosetFactor(tail, PauliOp(m, 1 << (m - 1), 0), tail_gx, tail_gz)))),
+            (0.02, PauliEnsemble(n, (_MIXED_COSETS[1], FullGroupFactor(tail)), frame)),
+        )),
         "toffoli": twirl_channel(_point_noise(n, rng), SymmetrySpec.toffoli(n)),
         "pauli_rotation": twirl_channel(_point_noise(n, rng), SymmetrySpec.pauli_rotation(axis)),
     }

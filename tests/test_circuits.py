@@ -174,7 +174,7 @@ class TestTrotterBuilders:
         assert all(layer.angle == math.pi / 4 for layer in c.layers)
 
     def test_heisenberg_axes_grouped_by_bond(self):
-        terms = heisenberg_2d(2, 2).terms()
+        terms = heisenberg_2d(2, 2).trotter_terms
         labels = [format_pauli(axis) for axis, _ in terms]
         # each bond contributes its XX, YY, ZZ rotations back to back
         assert labels[0::3] == ["XXII", "IIXX", "XIXI", "IXIX"]
@@ -183,13 +183,13 @@ class TestTrotterBuilders:
         assert all(weight(axis) == 2 for axis, _ in terms)
 
     def test_heisenberg_couplings(self):
-        terms = heisenberg_1d(3, j=0.7).terms()
+        terms = heisenberg_1d(3, j=0.7).trotter_terms
         assert [coup for _, coup in terms] == [0.7] * 6
         angle = build_trotter_circuit(heisenberg_1d(3, j=0.7), 1, 0.1).layers[0].angle
         assert angle == pytest.approx(0.07)
 
     def test_tfim_terms(self):
-        terms = tfim_2d(2, 2, h=0.5, j=2.0).terms()
+        terms = tfim_2d(2, 2, h=0.5, j=2.0).trotter_terms
         assert len(terms) == 8
         zz = terms[:4]
         singles = terms[4:]
@@ -200,7 +200,7 @@ class TestTrotterBuilders:
     def test_fermi_hubbard_ladder_terms(self):
         model = fermi_hubbard_2d(2, 1, t_hop=1.0, u_int=4.0)
         assert model.n_qubits == 4
-        terms = model.terms()
+        terms = model.trotter_terms
         # 2 hops × 2 letters + 1 on-site ZZ per site (2) + 4 single-Z terms
         assert len(terms) == 10
         labels = [format_pauli(a) for a, _ in terms]
@@ -216,12 +216,12 @@ class TestTrotterBuilders:
         model = fermi_hubbard_2d(2, 2)
         assert model.n_qubits == 8
         # 4 site bonds → 8 hops → 16 strings, + 4 ZZ + 8 singles
-        assert len(model.terms()) == 28
+        assert len(model.trotter_terms) == 28
 
     def test_fermi_hubbard_snake_keeps_vertical_strings_contiguous(self):
         # On a 2×2 snake the vertical site bonds are adjacent in mode order,
         # so every hopping string is an unbroken X/Y–Z…Z–X/Y segment.
-        for axis, _ in fermi_hubbard_2d(2, 2).terms()[:16]:
+        for axis, _ in fermi_hubbard_2d(2, 2).trotter_terms[:16]:
             label = format_pauli(axis).strip("I")
             assert set(label[1:-1]) <= {"Z"} and label[0] == label[-1]
 

@@ -16,6 +16,7 @@ import reference as ref
 from helpers import gate_to_dense, gates_to_dense, pauli_dense
 from twirlkit import dense
 from twirlkit.channels import (
+    CosetFactor,
     DiagonalIZFactor,
     FullGroupFactor,
     FullGroupMinusIdentityFactor,
@@ -45,7 +46,6 @@ from twirlkit.dense import (
     _apply_ensemble_average,
     _apply_gate_rows,
     _clifford_unitary_cached,
-    _conj_by_pauli,
     _depolarize_register,
     _gate_unitary,
     _mix_qubits,
@@ -289,7 +289,10 @@ class TestApplyChannel:
         ]
         gates = tuple(random_gate_list(n, rng, 4))
         ensembles.append(PauliEnsemble(n, (XYSetFactor((0,)), FullGroupFactor((1, 2))), gates))
-        probs = [0.15, 0.1, 0.2, 0.05, 0.12]
+        # {Z,Y}⊗{X,Y}⊗{I,X}, and full ⊗ {I,X} ⊗ Y under the frame: cosets no named constructor makes
+        ensembles.append(PauliEnsemble(n, (CosetFactor((0, 1, 2), parse_pauli("ZXI"), 0b101, 0b010),)))
+        ensembles.append(PauliEnsemble(n, (CosetFactor((0, 1, 2), parse_pauli("IIY"), 0b011, 0b001),), gates))
+        probs = [0.15, 0.1, 0.2, 0.05, 0.12, 0.08, 0.06]
         ch = PauliChannel(n, tuple(zip(probs, ensembles)))
         rho = DensityMatrix.haar_random_pure(n, rng)
         got = apply_channel(rho, ch)
@@ -360,7 +363,11 @@ class TestApplyChannel:
             mat = random_complex(2**n, rng)
             want = np.zeros_like(mat)
             for member in factor.members_local():
-                want += _conj_by_pauli(mat, n, register, member)
+                label = ["I"] * n
+                for i, q in enumerate(register):
+                    label[q] = member.letter_at(i)
+                p = ref.pauli_matrix("".join(label))
+                want += p @ mat @ p.conj().T
             got = _weight_capped_sum(mat, n, register, k)
             assert np.abs(got - want).max() < 1e-12 * factor.cardinality
 
@@ -731,7 +738,7 @@ class TestDistanceScan:
         n, steps, theta, p_tot, num_bases = 3, 2, 0.25, 0.6, 2
         (row,) = rescaled_distance_scan([n], [steps], theta, p_tot, 1, num_bases, np.random.default_rng(29))
         model = heisenberg_1d(n)
-        rates = _resolve_rates((1.0, 1.0, 1.0), p_tot, steps * len(model.terms()))
+        rates = _resolve_rates((1.0, 1.0, 1.0), p_tot, steps * len(model.trotter_terms))
         c = build_trotter_circuit(model, steps, theta, base_noise=rz_axis_noise(*rates), twirl_mode="analytic_full")
         rng = np.random.default_rng(29)
         ideal, noisy = simulate_pair(c, DensityMatrix.haar_random_pure(n, rng))
